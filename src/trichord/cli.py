@@ -17,13 +17,13 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__
-from .directions import ChordProblem, probability_general
+from .directions import ChordProblem, is_unit_configuration, probability_general
 from .exact import (
     probability_arctan_form,
     probability_golden_ratio_form,
 )
 from .montecarlo import Method, ProbabilityEstimate, estimate
-from .quadrature import probability_by_quadrature
+from .quadrature import QuadratureResult, probability_by_quadrature
 from .reports import (
     Agreement,
     ExperimentConfig,
@@ -141,11 +141,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _require_unit_configuration(config: ExperimentConfig) -> None:
-    if not (
-        config.triangle.base == 1.0
-        and config.triangle.height == 1.0
-        and config.threshold == 1.0
-    ):
+    if not is_unit_configuration(_problem(config)):
         raise ValueError(
             "this command needs the unit configuration "
             "(base=1, height=1, threshold=1); use 'general' otherwise"
@@ -154,6 +150,17 @@ def _require_unit_configuration(config: ExperimentConfig) -> None:
 
 def _problem(config: ExperimentConfig) -> ChordProblem:
     return ChordProblem(config.triangle, config.threshold)
+
+
+def _warn_unconverged(result: QuadratureResult) -> None:
+    """One stderr line when quadrature stopped at its depth cap; stdout is unchanged."""
+    if not result.converged:
+        print(
+            f"trichord: warning: quadrature did not converge to tolerance "
+            f"{result.tolerance:g} ({result.evaluations} evaluations); "
+            "the reported probability may be less accurate",
+            file=sys.stderr,
+        )
 
 
 def _pairwise_agreement(estimates: dict[str, ProbabilityEstimate]) -> Agreement:
@@ -206,15 +213,12 @@ def cmd_density(config: ExperimentConfig, args: argparse.Namespace) -> tuple[int
 def cmd_integrate(config: ExperimentConfig, args: argparse.Namespace) -> tuple[int, str]:
     problem = _problem(config)
     start = time.perf_counter()
-    if (
-        config.triangle.base == 1.0
-        and config.triangle.height == 1.0
-        and config.threshold == 1.0
-    ):
+    if is_unit_configuration(problem):
         result = probability_by_quadrature(config.tolerance)
     else:
         result = probability_general(problem, config.tolerance)
     elapsed = _elapsed_ms(start)
+    _warn_unconverged(result)
     report = ExperimentReport(
         config=config,
         estimates={
@@ -260,6 +264,7 @@ def cmd_general(config: ExperimentConfig, args: argparse.Namespace) -> tuple[int
     start = time.perf_counter()
     quad = probability_general(problem, config.tolerance)
     timing["quadrature"] = _elapsed_ms(start)
+    _warn_unconverged(quad)
     estimates["quadrature"] = ProbabilityEstimate.from_value(
         quad.probability, Method.QUADRATURE
     )

@@ -6,24 +6,36 @@ the chord length crosses t: directions toward intersections of the circle of
 radius t about P with the sides, and directions toward vertices (where the
 struck side changes).  Between consecutive critical angles the indicator is
 constant, so classifying one interior direction classifies the whole cell.
+
+As a function of x the measure is analytic between closed-form breakpoints:
+the tangencies, where the circle of radius t about (x, 0) touches a side line
+and the measure has a square-root cusp, and the vertex distances, where the
+circle passes through a vertex and the measure has a kink.  The measure is
+even in x, so ``probability_general`` integrates [0, base/2] piece by piece.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable
 
-from .geometry import IsoscelesTriangle, Point, require_on_base, side_hit
+from .geometry import SEGMENT_SLACK, IsoscelesTriangle, Point, require_on_base, side_hit
 from .quadrature import QuadratureResult, integrate_profile
 
-# |discriminant| below this counts as tangency: one root instead of two.
+# |r^2 - d^2| below this share of r^2 counts as tangency (d the distance from
+# the circle's center to the side line): one root instead of two.
 TANGENCY_TOLERANCE = 1e-14
 
-# Slack accepted at segment ends for the circle-side intersection parameter.
-SEGMENT_SLACK = 1e-12
+# Cells between critical angles no wider than this are left unclassified.
+MIN_CELL_WIDTH = 1e-15
 
 # Final intervals narrower than this are dropped as numerical slivers.
 MIN_INTERVAL_WIDTH = 1e-12
+
+# Breakpoints closer than this share of base/2 merge into one, and those this
+# close to 0 or base/2 land there, so roundoff leaves no sliver pieces.
+BREAKPOINT_SNAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,26 +96,31 @@ def _circle_segment_angles(
 
     Solves |e0 + u*(e1 - e0) - origin|^2 = radius^2 for the segment parameter
     u, keeps roots with u in [0, 1] up to slack, and returns their viewing
-    angles within (0, pi).
+    angles within (0, pi).  The discriminant comes from the cross product
+    (Lagrange's identity) and each point is the foot of the perpendicular
+    from ``origin`` plus an offset along the side, so both stay accurate
+    relative to the radius when the circle is small.
     """
     seg_x, seg_y = e1[0] - e0[0], e1[1] - e0[1]
     off_x, off_y = e0[0] - origin[0], e0[1] - origin[1]
     a = seg_x * seg_x + seg_y * seg_y
-    b = 2.0 * (off_x * seg_x + off_y * seg_y)
-    c = off_x * off_x + off_y * off_y - radius * radius
-    disc = b * b - 4.0 * a * c
-    if disc < -TANGENCY_TOLERANCE:
+    along = off_x * seg_x + off_y * seg_y
+    cross = off_x * seg_y - off_y * seg_x
+    scale = a * radius * radius
+    gap = scale - cross * cross  # a * (radius^2 - distance^2)
+    if gap < -TANGENCY_TOLERANCE * scale:
         return []
-    if disc <= TANGENCY_TOLERANCE:
-        roots = (-b / (2.0 * a),)
+    if gap <= TANGENCY_TOLERANCE * scale:
+        offsets = (0.0,)
     else:
-        sq = math.sqrt(disc)
-        roots = ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a))
+        root = math.sqrt(gap)
+        offsets = (-root, root)
     angles = []
-    for u in roots:
+    for offset in offsets:
+        u = (offset - along) / a
         if -SEGMENT_SLACK <= u <= 1.0 + SEGMENT_SLACK:
-            rel_x = e0[0] + u * seg_x - origin[0]
-            rel_y = e0[1] + u * seg_y - origin[1]
+            rel_x = (cross * seg_y + offset * seg_x) / a
+            rel_y = (offset * seg_y - cross * seg_x) / a
             angle = math.atan2(rel_y, rel_x)
             if 0.0 < angle < math.pi:
                 angles.append(angle)
@@ -139,7 +156,7 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
     angles = sorted(critical)
     merged: list[list[float]] = []
     for low, high in zip(angles, angles[1:]):
-        if high - low <= 1e-15:
+        if high - low <= MIN_CELL_WIDTH:
             continue
         midpoint = 0.5 * (low + high)
         if side_hit(triangle, x, midpoint).distance > problem.threshold:
@@ -153,16 +170,97 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
     return AngularIntervalSet(kept)
 
 
+def _breakpoints(problem: ChordProblem) -> tuple[list[float], list[float]]:
+    """Piece edges of the measure on [0, base/2], and the abscissas of its cusps.
+
+    The tangencies x = +-(base/2 - t*side/height) are square-root cusps, and
+    are returned wherever they lie; the vertex distances x = +-(base/2 - t)
+    and, for t > height, the apex distance x = sqrt(t^2 - height^2) are
+    kinks.  Edges run from 0 to base/2, at least BREAKPOINT_SNAP * base/2
+    apart; a breakpoint that close to 0, base/2 or a tangency lands there.
+    """
+    triangle, t = problem.triangle, problem.threshold
+    half, height = triangle.base / 2.0, triangle.height
+    snap = BREAKPOINT_SNAP * half
+
+    def snapped(x: float) -> float:
+        if abs(x) <= snap:
+            return 0.0
+        return half if abs(x - half) <= snap else x
+
+    tangency = half - t * math.hypot(half, height) / height
+    cusps = [snapped(tangency), snapped(-tangency)]
+    kinks = [half - t, t - half]
+    if t > height:
+        kinks.append(math.sqrt(t * t - height * height))
+    points = [(0.0, False), (half, False), *((c, True) for c in cusps)]
+    points += [(snapped(k), False) for k in kinks]
+    edges: list[float] = []
+    for x, cusp in sorted(points):
+        if not 0.0 <= x <= half:
+            continue
+        if not edges or x - edges[-1] > snap:
+            edges.append(x)
+        elif cusp:
+            edges[-1] = x  # a tangency keeps its place
+    return edges, cusps
+
+
+def _absorb_cusp(
+    profile: Callable[[float], float], lo: float, hi: float, cusps: list[float]
+) -> Callable[[float], float]:
+    """Integrand over s in [0, 1] whose integral equals that of ``profile`` on [lo, hi].
+
+    Substitutes x = c +- v^2 about the cusp c nearest to the piece, with v
+    linear in s, so a square-root cusp at c becomes smooth in s whether c is
+    the piece's end (x = lo + w*s^2 or x = hi - w*s^2) or lies just beyond it.
+    The cusps sit at +-(base/2 - t*side/height), so one of them is never
+    right of 0 and an anchor always exists; a far one makes the map nearly
+    linear.  The map is written about the piece's end, x = end +- q*s*(2a + q*s)
+    with a = sqrt(|end - c|) and q = w / (a + sqrt(a^2 + w)), so nothing cancels
+    when c is far.  x is clamped into [lo, hi] against roundoff.
+    """
+    w = hi - lo
+    distance, end, direction = min(
+        [(lo - c, lo, 1.0) for c in cusps if c <= lo]
+        + [(c - hi, hi, -1.0) for c in cusps if c >= hi]
+    )
+    a = math.sqrt(distance)
+    q = w / (a + math.sqrt(distance + w))
+
+    def integrand(s: float) -> float:
+        x = end + direction * q * s * (2.0 * a + q * s)
+        return profile(min(max(x, lo), hi)) * 2.0 * q * (a + q * s)
+
+    return integrand
+
+
 def probability_general(problem: ChordProblem, tolerance: float = 1e-10) -> QuadratureResult:
     """Exceedance probability for any configuration, by quadrature.
 
-    Integrates the direction-set measure across the base and normalizes by
-    pi * base (uniform base point, uniform angle).
+    Integrates the direction-set measure over [0, base/2], one adaptive
+    Simpson run per analytic piece with its nearest cusp absorbed, doubles it
+    by mirror symmetry and normalizes by pi * base (uniform base point,
+    uniform angle).  Each piece gets tolerance / (2 * pieces), so the error
+    bound of the integral across the whole base stays ``tolerance``;
+    ``evaluations`` sums the pieces and ``converged`` holds when every piece
+    converged.
     """
-    half = problem.triangle.base / 2.0
-    result = integrate_profile(
-        lambda x: direction_set(problem, x).measure, -half, half, tolerance
-    )
-    return replace(
-        result, probability=result.integral / (math.pi * problem.triangle.base)
+    edges, cusps = _breakpoints(problem)
+    share = tolerance / (2.0 * (len(edges) - 1))
+
+    def measure(x: float) -> float:
+        return direction_set(problem, x).measure
+
+    pieces = [
+        integrate_profile(_absorb_cusp(measure, lo, hi, cusps), 0.0, 1.0, share)
+        for lo, hi in zip(edges, edges[1:])
+    ]
+    integral = 2.0 * math.fsum(piece.integral for piece in pieces)
+    return QuadratureResult(
+        integral=integral,
+        probability=integral / (math.pi * problem.triangle.base),
+        evaluations=sum(piece.evaluations for piece in pieces),
+        tolerance=tolerance,
+        converged=all(piece.converged for piece in pieces),
     )

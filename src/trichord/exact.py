@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import OutOfBaseError
+from .geometry import SQRT5
 
-SQRT5 = math.sqrt(5.0)
 GOLDEN_RATIO = (1.0 + SQRT5) / 2.0
 
 

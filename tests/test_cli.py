@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from trichord import QuadratureResult, cli
 from trichord.reports import dumps
 
 P_EXACT = 0.016212872164880516  # frozen from a 50-digit evaluation
@@ -229,3 +230,30 @@ def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert "0.1.0" in proc.stdout
+
+
+def _unconverged(problem, tolerance):
+    return QuadratureResult(
+        integral=1.0, probability=0.25, evaluations=7, tolerance=tolerance, converged=False
+    )
+
+
+@pytest.mark.parametrize("command", ["general", "integrate"])
+def test_unconverged_quadrature_warns_on_stderr(command, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "probability_general", _unconverged)
+    argv = [command, "--base", "2", "--method", "quadrature", "--tol", "1e-9"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert doc["estimates"]["quadrature"]["p_hat"] == 0.25
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("trichord: warning: quadrature did not converge")
+
+
+def test_readme_general_example_converges_silently(capsys):
+    argv = ["general", "--base", "2", "--height", "1.5", "--threshold", "0.8", "--method", "quadrature"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["details"]["quadrature_converged"] is True
+    assert err == ""

@@ -1,9 +1,12 @@
 """Tests for direction sets and the general-configuration probability."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trichord import (
     AngularIntervalSet,
@@ -204,3 +207,80 @@ def test_probability_general_scale_invariance():
     small = probability_general(ChordProblem(IsoscelesTriangle(1.0, 1.0), 1.0), 1e-8)
     big = probability_general(ChordProblem(IsoscelesTriangle(3.0, 3.0), 3.0), 1e-8)
     assert big.probability == pytest.approx(small.probability, abs=1e-7)
+
+
+def _reference_probability(problem, tolerance):
+    """QUADPACK over the whole base, split at the tangencies and vertex distances.
+
+    Returns the probability and the error bound QUADPACK claims for it.
+    """
+    from scipy.integrate import IntegrationWarning, quad
+
+    base, height = problem.triangle.base, problem.triangle.height
+    t = problem.threshold
+    half = base / 2.0
+    tangency = half - t * math.hypot(half, height) / height
+    breaks = [tangency, half - t]
+    if t > height:
+        breaks.append(math.sqrt(t * t - height * height))
+    points = sorted({s * b for b in breaks for s in (1.0, -1.0) if abs(b) < half})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        integral, error = quad(
+            lambda x: direction_set(problem, x).measure,
+            -half,
+            half,
+            points=points or None,
+            epsabs=tolerance / 20.0,
+            epsrel=0.0,
+            limit=500,
+        )
+    scale = math.pi * base
+    return integral / scale, error / scale
+
+
+def _assert_matches_reference(problem, tolerance):
+    result = probability_general(problem, tolerance)
+    assert result.converged
+    reference, error = _reference_probability(problem, tolerance)
+    bound = tolerance / (math.pi * problem.triangle.base)
+    assert error * 10.0 <= bound
+    assert abs(result.probability - reference) <= bound
+
+
+@pytest.mark.parametrize("tolerance", [1e-10, 1e-12])
+@pytest.mark.parametrize(
+    "base, height, threshold",
+    [
+        (2.0, 1.5, 0.8),  # the README example
+        (1.0, 1.0, 0.5),
+        (3.0, 1.0, 1.0),
+        (2.0, 1.0, 1.0 / math.sqrt(2.0)),  # both tangencies at the mirror axis
+        (2.0, 1.0, math.nextafter(1.0 / math.sqrt(2.0), 0.0)),  # and within roundoff
+        (2.0, 1.0, math.nextafter(1.0 / math.sqrt(2.0), 1.0)),
+        (1.0, 100.0, 0.3),
+        (1.0, 0.01, 0.9),
+    ],
+)
+def test_probability_general_converges_and_matches_quadpack(base, height, threshold, tolerance):
+    problem = ChordProblem(IsoscelesTriangle(base, height), threshold)
+    _assert_matches_reference(problem, tolerance)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    log_base=st.floats(-2.0, 2.0),
+    log_height=st.floats(-2.0, 2.0),
+    share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_probability_general_converges_across_configurations(log_base, log_height, share):
+    base, height = 10.0**log_base, 10.0**log_height
+    longest = max(base, math.hypot(base / 2.0, height))
+    problem = ChordProblem(IsoscelesTriangle(base, height), share * longest)
+    _assert_matches_reference(problem, 1e-10 * base)
+
+
+def test_readme_example_converges_within_budget():
+    result = probability_general(ChordProblem(IsoscelesTriangle(2.0, 1.5), 0.8), 1e-12)
+    assert result.converged
+    assert result.evaluations < 2000
