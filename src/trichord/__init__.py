@@ -7,7 +7,12 @@ ways: a closed form for the unit configuration (base = height = cutoff = 1),
 adaptive quadrature of the angular-measure profile, and Monte Carlo
 sampling.  In the unit configuration the probability is
 (2/pi)(2*atan(1/3) - 1/phi), about 0.0162.
+
+Only Monte Carlo needs NumPy, so ``estimate``, ``empirical_limit_angle`` and
+the ``montecarlo`` module load on first access.
 """
+
+import importlib
 
 from .directions import (
     AngularIntervalSet,
@@ -17,6 +22,7 @@ from .directions import (
     probability_general,
 )
 from .errors import DegenerateDirectionError, NonFiniteSampleError, OutOfBaseError
+from .estimates import Method, ProbabilityEstimate
 from .exact import (
     ExactConstants,
     arcsin_terms_definite,
@@ -39,12 +45,6 @@ from .geometry import (
     limit_angle,
     limit_angle_components,
     side_hit,
-)
-from .montecarlo import (
-    Method,
-    ProbabilityEstimate,
-    empirical_limit_angle,
-    estimate,
 )
 from .quadrature import QuadratureResult, integrate_profile, probability_by_quadrature
 from .reports import (
@@ -103,3 +103,11 @@ __all__ = [
     "tangent_sum_residual",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: NumPy loads on first use of a Monte Carlo name, not on import.
+    if name in ("montecarlo", "estimate", "empirical_limit_angle"):
+        montecarlo = importlib.import_module(".montecarlo", __name__)
+        return montecarlo if name == "montecarlo" else getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

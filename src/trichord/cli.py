@@ -22,7 +22,7 @@ from .exact import (
     probability_arctan_form,
     probability_golden_ratio_form,
 )
-from .montecarlo import Method, ProbabilityEstimate, estimate
+from .estimates import Method, ProbabilityEstimate
 from .quadrature import QuadratureResult, probability_by_quadrature
 from .reports import (
     Agreement,
@@ -178,6 +178,14 @@ def _pairwise_agreement(estimates: dict[str, ProbabilityEstimate]) -> Agreement:
             if diff > allowance:
                 within = False
     return Agreement(max_abs_difference=max_diff, within_tolerance=within)
+
+
+def estimate(problem: ChordProblem, samples: int, seed: int) -> ProbabilityEstimate:
+    """Monte Carlo estimate; NumPy loads on the first call, so commands that
+    never sample do not pay for it."""
+    from .montecarlo import estimate as sample
+
+    return sample(problem, samples, seed)
 
 
 def _elapsed_ms(start: float) -> float:

@@ -80,6 +80,20 @@ class ChordProblem:
             )
 
 
+def unit_base(problem: ChordProblem) -> ChordProblem:
+    """The same problem scaled to base 1.
+
+    Direction sets depend on the shape only, and the scaled lengths square
+    without overflow or underflow, so callers that evaluate many direction
+    sets scale once and pass x / base.
+    """
+    triangle = problem.triangle
+    return ChordProblem(
+        IsoscelesTriangle(1.0, triangle.height / triangle.base),
+        problem.threshold / triangle.base,
+    )
+
+
 def is_unit_configuration(problem: ChordProblem) -> bool:
     """True for base = height = threshold = 1, where the closed form applies."""
     return (
@@ -133,6 +147,8 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
     Collects critical angles (circle-side intersections and vertex
     directions), classifies each cell between consecutive critical angles by
     the chord length at its midpoint, and merges adjacent qualifying cells.
+    Lengths are squared, so they should lie well inside 1e+-150; see
+    ``unit_base``.
 
     Raises:
         OutOfBaseError: x lies outside the base.
@@ -238,28 +254,32 @@ def _absorb_cusp(
 def probability_general(problem: ChordProblem, tolerance: float = 1e-10) -> QuadratureResult:
     """Exceedance probability for any configuration, by quadrature.
 
-    Integrates the direction-set measure over [0, base/2], one adaptive
-    Simpson run per analytic piece with its nearest cusp absorbed, doubles it
-    by mirror symmetry and normalizes by pi * base (uniform base point,
-    uniform angle).  Each piece gets tolerance / (2 * pieces), so the error
-    bound of the integral across the whole base stays ``tolerance``;
-    ``evaluations`` sums the pieces and ``converged`` holds when every piece
-    converged.
+    Solves the problem scaled to base 1 (``unit_base``) at tolerance / base,
+    so any scale works, and scales the integral back.  Integrates the
+    direction-set measure over [0, 1/2], one adaptive Simpson run per
+    analytic piece with its nearest cusp absorbed, doubles it by mirror
+    symmetry and normalizes by pi (uniform base point, uniform angle).  Each
+    piece gets tolerance / (2 * pieces), so the error bound of the integral
+    across the whole base stays ``tolerance``; ``evaluations`` sums the
+    pieces and ``converged`` holds when every piece converged.
     """
-    edges, cusps = _breakpoints(problem)
-    share = tolerance / (2.0 * (len(edges) - 1))
+    base = problem.triangle.base
+    unit = unit_base(problem)
+    edges, cusps = _breakpoints(unit)
+    # A share below the smallest float is roundoff anyway; keep it positive.
+    share = max(tolerance / base / (2.0 * (len(edges) - 1)), math.ulp(0.0))
 
     def measure(x: float) -> float:
-        return direction_set(problem, x).measure
+        return direction_set(unit, x).measure
 
     pieces = [
         integrate_profile(_absorb_cusp(measure, lo, hi, cusps), 0.0, 1.0, share)
         for lo, hi in zip(edges, edges[1:])
     ]
-    integral = 2.0 * math.fsum(piece.integral for piece in pieces)
+    unit_integral = 2.0 * math.fsum(piece.integral for piece in pieces)
     return QuadratureResult(
-        integral=integral,
-        probability=integral / (math.pi * problem.triangle.base),
+        integral=unit_integral * base,
+        probability=unit_integral / math.pi,
         evaluations=sum(piece.evaluations for piece in pieces),
         tolerance=tolerance,
         converged=all(piece.converged for piece in pieces),

@@ -15,15 +15,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import OutOfBaseError
-from .geometry import SQRT5
+from .geometry import SQRT5, require_on_unit_base
 
 GOLDEN_RATIO = (1.0 + SQRT5) / 2.0
-
-
-def _require_unit_base(x: float) -> None:
-    if not (math.isfinite(x) and -0.5 <= x <= 0.5):
-        raise OutOfBaseError(f"x={x} lies outside the unit base [-0.5, 0.5]")
 
 
 def primitive_arcsin_down(x: float) -> float:
@@ -32,7 +26,7 @@ def primitive_arcsin_down(x: float) -> float:
     Equals (x - 1/2)*asin((1 - 2x)/sqrt(5)) - sqrt(-x^2 + x + 1), with the
     integration constant fixed at zero.
     """
-    _require_unit_base(x)
+    require_on_unit_base(x)
     return (x - 0.5) * math.asin((1.0 - 2.0 * x) / SQRT5) - math.sqrt(-x * x + x + 1.0)
 
 
@@ -42,7 +36,7 @@ def primitive_arcsin_up(x: float) -> float:
     Equals (x + 1/2)*asin((1 + 2x)/sqrt(5)) + sqrt(-x^2 - x + 1), with the
     integration constant fixed at zero.
     """
-    _require_unit_base(x)
+    require_on_unit_base(x)
     return (x + 0.5) * math.asin((1.0 + 2.0 * x) / SQRT5) + math.sqrt(-x * x - x + 1.0)
 
 
@@ -53,7 +47,7 @@ def primitive_x_over_root(x: float) -> float:
     collects the boundary terms produced by integrating the arcsin factors by
     parts.
     """
-    _require_unit_base(x)
+    require_on_unit_base(x)
     return math.sqrt(-x * x + x + 1.0) + 0.5 * math.asin((1.0 - 2.0 * x) / SQRT5)
 
 
@@ -62,7 +56,7 @@ def primitive_inv_root(x: float) -> float:
 
     Equals -(1/2)*asin((1 - 2x)/sqrt(5)).
     """
-    _require_unit_base(x)
+    require_on_unit_base(x)
     return -0.5 * math.asin((1.0 - 2.0 * x) / SQRT5)
 
 

@@ -106,6 +106,12 @@ def require_on_base(triangle: IsoscelesTriangle, x: float) -> None:
         raise OutOfBaseError(f"x={x} lies outside the base [{-half}, {half}]")
 
 
+def require_on_unit_base(x: float) -> None:
+    """Raise OutOfBaseError unless x lies on the unit base [-1/2, 1/2]."""
+    if not (math.isfinite(x) and -0.5 <= x <= 0.5):
+        raise OutOfBaseError(f"x={x} lies outside the unit base [-0.5, 0.5]")
+
+
 def side_hit(triangle: IsoscelesTriangle, x: float, theta: float) -> RayHit:
     """First intersection of the upward ray from (x, 0) with the upper sides.
 
@@ -179,8 +185,7 @@ def limit_angle_components(x: float) -> LimitAngleBreakdown:
     Raises:
         OutOfBaseError: x lies outside [-1/2, 1/2].
     """
-    if not (math.isfinite(x) and -0.5 <= x <= 0.5):
-        raise OutOfBaseError(f"x={x} lies outside the unit base [-0.5, 0.5]")
+    require_on_unit_base(x)
     hit_ab = math.asin((1.0 - 2.0 * x) / SQRT5)
     hit_cb = math.asin((1.0 + 2.0 * x) / SQRT5)
     base = math.atan(2.0)

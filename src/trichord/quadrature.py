@@ -40,15 +40,21 @@ def integrate_profile(
 
     Each subinterval is accepted when the Richardson error estimate
     |S_fine - S_coarse| / 15 falls within its share of ``tolerance`` (halved
-    per split); the returned value includes the Richardson correction.
+    per split); the returned value includes the Richardson correction.  As in
+    Gander & Gautschi (BIT 40, 2000), a subinterval whose difference no
+    longer changes the integral's magnitude, (upper - lower) times the
+    largest of the first three samples, is also accepted: a tolerance below
+    roundoff then stops there instead of splitting to ``max_depth``, and is
+    flagged by ``converged=False``.
 
     Args:
         profile: integrand; must return finite floats.
         lower: left endpoint, strictly below ``upper``.
         upper: right endpoint.
         tolerance: absolute error target, positive.
-        max_depth: recursion cap; subintervals still split at the cap are
-            accepted and flagged by ``converged=False``.
+        max_depth: recursion cap; subintervals accepted at the cap or at
+            roundoff without meeting their share are flagged by
+            ``converged=False``.
 
     Raises:
         ValueError: empty interval or non-positive tolerance.
@@ -87,7 +93,7 @@ def integrate_profile(
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         delta = left + right - whole
-        if abs(delta) <= 15.0 * tol or depth >= max_depth:
+        if abs(delta) <= 15.0 * tol or depth >= max_depth or magnitude + delta == magnitude:
             if abs(delta) > 15.0 * tol:
                 converged = False
             return left + right + delta / 15.0
@@ -98,6 +104,7 @@ def integrate_profile(
     fa, fb = sample(lower), sample(upper)
     mid = 0.5 * (lower + upper)
     fm = sample(mid)
+    magnitude = (upper - lower) * max(abs(fa), abs(fm), abs(fb))
     whole = (upper - lower) / 6.0 * (fa + 4.0 * fm + fb)
     integral = recurse(lower, upper, fa, fm, fb, whole, tolerance, 0)
     return QuadratureResult(

@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .directions import ChordProblem, direction_set, is_unit_configuration
+from .directions import ChordProblem, direction_set, is_unit_configuration, unit_base
+from .estimates import ProbabilityEstimate
 from .geometry import IsoscelesTriangle, limit_angle
-from .montecarlo import ProbabilityEstimate
 
 _METHODS = ("exact", "quadrature", "montecarlo", "all")
 _FORMATS = ("json", "csv")
@@ -76,8 +76,7 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.threshold) and self.threshold >= 0.0):
-            raise ValueError(f"threshold must be nonnegative, got {self.threshold}")
+        ChordProblem(self.triangle, self.threshold)  # validates the threshold
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         if not isinstance(self.samples, int) or self.samples < 1:
@@ -294,11 +293,13 @@ def density_profile(problem: ChordProblem, points: int) -> DensityProfile:
     """Angular-measure profile of ``problem`` on a symmetric grid of ``points``.
 
     Uses the closed-form limit angle in the unit configuration and the
-    direction-set construction otherwise.
+    direction-set construction, scaled to base 1, otherwise.
     """
-    xs = base_grid(problem.triangle.base, points)
+    base = problem.triangle.base
+    xs = base_grid(base, points)
     if is_unit_configuration(problem):
         rows = tuple((x, limit_angle(x)) for x in xs)
     else:
-        rows = tuple((x, direction_set(problem, x).measure) for x in xs)
+        unit = unit_base(problem)
+        rows = tuple((x, direction_set(unit, x / base).measure) for x in xs)
     return DensityProfile(rows)

@@ -257,3 +257,45 @@ def test_readme_general_example_converges_silently(capsys):
     out, err = capsys.readouterr()
     assert json.loads(out)["details"]["quadrature_converged"] is True
     assert err == ""
+
+
+@pytest.mark.parametrize("scale", ["1e-300", "1e-100", "1e100", "1e300"])
+@pytest.mark.parametrize(
+    "command", [("general", "--method", "quadrature"), ("integrate",), ("density",)]
+)
+def test_extreme_scales_run_without_traceback(command, scale):
+    # The tolerance is absolute on the integral, so it scales with the base.
+    tol = repr(1e-12 * float(scale))
+    flags = ("--base", scale, "--height", scale, "--threshold", scale, "--tol", tol)
+    proc = run_cli(*command, *flags)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    if command[0] == "density":
+        alphas = [float(line.split(",")[1]) for line in proc.stdout.strip().split("\n")[1:]]
+        assert alphas[0] == pytest.approx(3.0 * math.atan(2.0) - math.pi, abs=1e-14)
+        assert alphas[100] == 0.0
+    else:
+        doc = json.loads(proc.stdout)
+        assert doc["estimates"]["quadrature"]["p_hat"] == pytest.approx(P_EXACT, abs=1e-10)
+
+
+def test_tolerance_below_roundoff_finishes_with_warning():
+    # Before the roundoff stop, every piece split to the depth cap: a hang.
+    flags = ("--method", "quadrature", "--base", "1e6", "--height", "1e6", "--threshold", "1e6")
+    proc = subprocess.run(
+        [sys.executable, "-m", "trichord", "general", *flags],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "did not converge" in proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["estimates"]["quadrature"]["p_hat"] == pytest.approx(P_EXACT, abs=1e-10)
+
+
+def test_infinite_threshold_is_rejected_as_not_finite():
+    proc = run_cli("integrate", "--threshold", "inf")
+    assert proc.returncode == 2
+    expected = "trichord: threshold must be a nonnegative finite length, got inf"
+    assert proc.stderr.strip() == expected

@@ -284,3 +284,36 @@ def test_readme_example_converges_within_budget():
     result = probability_general(ChordProblem(IsoscelesTriangle(2.0, 1.5), 0.8), 1e-12)
     assert result.converged
     assert result.evaluations < 2000
+
+
+@pytest.mark.parametrize("shape", [(1.0, 1.0, 1.0), (2.0, 1.5, 0.8)])
+def test_probability_is_scale_invariant_at_extreme_scales(shape):
+    base, height, threshold = shape
+    unit = probability_general(
+        ChordProblem(IsoscelesTriangle(base, height), threshold), 1e-12
+    ).probability
+    for scale in (1e-300, 1e-100, 1e100, 1e300):
+        problem = ChordProblem(
+            IsoscelesTriangle(base * scale, height * scale), threshold * scale
+        )
+        result = probability_general(problem, 1e-12 * scale)
+        assert result.converged
+        assert result.probability == pytest.approx(unit, abs=1e-15)
+        assert result.integral == pytest.approx(unit * math.pi * base * scale, rel=1e-14)
+
+
+def test_tolerance_below_roundoff_at_large_scale_finishes():
+    # The integral is about 5e4, so an absolute 1e-12 is below its roundoff.
+    problem = ChordProblem(IsoscelesTriangle(1e6, 1e6), 1e6)
+    result = probability_general(problem, 1e-12)
+    assert result.probability == pytest.approx(P_EXACT, abs=1e-10)
+    assert result.evaluations < 10**4
+    assert not result.converged
+
+
+def test_tolerance_share_that_underflows_stays_positive():
+    # 1e-30 / 1e300 underflows to 0, which integrate_profile would reject.
+    problem = ChordProblem(IsoscelesTriangle(1e300, 1e300), 1e300)
+    result = probability_general(problem, 1e-30)
+    assert result.probability == pytest.approx(P_EXACT, abs=1e-10)
+    assert not result.converged

@@ -118,3 +118,12 @@ def test_evaluation_count_is_reported():
     result = integrate_profile(integrand, 0.0, 1.0, 1e-9)
     assert result.evaluations == calls
     assert result.integral == pytest.approx(math.e - 1.0, abs=1e-9)
+
+
+def test_tolerance_below_roundoff_stops_early_and_flags_it():
+    # 1e-22 is far below the rounding error of an integral of size 1/7; the
+    # split stops once the difference no longer changes the integral's size.
+    result = integrate_profile(lambda x: x**6, 0.0, 1.0, 1e-22)
+    assert result.evaluations < 10**4
+    assert not result.converged
+    assert result.integral == pytest.approx(1.0 / 7.0, abs=1e-15)
