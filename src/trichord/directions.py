@@ -86,12 +86,19 @@ def unit_base(problem: ChordProblem) -> ChordProblem:
     Direction sets depend on the shape only, and the scaled lengths square
     without overflow or underflow, so callers that evaluate many direction
     sets scale once and pass x / base.
+
+    Raises:
+        ValueError: height / base or threshold / base leaves the float range.
     """
     triangle = problem.triangle
-    return ChordProblem(
-        IsoscelesTriangle(1.0, triangle.height / triangle.base),
-        problem.threshold / triangle.base,
-    )
+    height = triangle.height / triangle.base
+    threshold = problem.threshold / triangle.base
+    if not (0.0 < height < math.inf and threshold < math.inf):
+        raise ValueError(
+            f"base {triangle.base}, height {triangle.height} and threshold "
+            f"{problem.threshold} span more than the floating-point range"
+        )
+    return ChordProblem(IsoscelesTriangle(1.0, height), threshold)
 
 
 def is_unit_configuration(problem: ChordProblem) -> bool:

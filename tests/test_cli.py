@@ -299,3 +299,17 @@ def test_infinite_threshold_is_rejected_as_not_finite():
     assert proc.returncode == 2
     expected = "trichord: threshold must be a nonnegative finite length, got inf"
     assert proc.stderr.strip() == expected
+
+
+@pytest.mark.parametrize(
+    "command", [("simulate", "--samples", "1000"), ("general", "--method", "quadrature")]
+)
+def test_shape_beyond_float_range_is_one_line_error(command):
+    # height / base underflows to 0, so no base-1 problem represents it.
+    proc = run_cli(*command, "--base", "1e300", "--height", "1e-30")
+    assert proc.returncode == 2
+    expected = (
+        "trichord: base 1e+300, height 1e-30 and threshold 1.0 "
+        "span more than the floating-point range"
+    )
+    assert proc.stderr.strip() == expected
