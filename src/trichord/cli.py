@@ -25,6 +25,8 @@ from .exact import (
 from .estimates import Method, ProbabilityEstimate
 from .quadrature import QuadratureResult, probability_by_quadrature
 from .reports import (
+    FORMATS,
+    METHODS,
     Agreement,
     ExperimentConfig,
     ExperimentReport,
@@ -40,32 +42,48 @@ SIGMA_MULTIPLE = 4.0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Each dest is an ExperimentConfig field name (or base/height), so the
+    # parsed namespace is the override map; defaults live in the dataclass.
+    defaults = ExperimentConfig()
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="JSON config file; flags override it")
-    common.add_argument("--base", type=float, help="triangle base length (default 1)")
-    common.add_argument("--height", type=float, help="triangle height (default 1)")
-    common.add_argument("--threshold", type=float, help="chord length cutoff (default 1)")
+    common.add_argument(
+        "--base", type=float, help=f"triangle base length (default {defaults.triangle.base:g})"
+    )
+    common.add_argument(
+        "--height", type=float, help=f"triangle height (default {defaults.triangle.height:g})"
+    )
+    common.add_argument(
+        "--threshold", type=float, help=f"chord length cutoff (default {defaults.threshold:g})"
+    )
     common.add_argument(
         "--method",
-        choices=("exact", "quadrature", "montecarlo", "all"),
-        help="which estimators a combined command runs (default all)",
+        choices=METHODS,
+        help=f"which estimators a combined command runs (default {defaults.method})",
     )
-    common.add_argument("--samples", type=int, help="Monte Carlo sample count (default 10^6)")
-    common.add_argument("--seed", type=int, help="Monte Carlo root seed (default 0)")
     common.add_argument(
-        "--tol", type=float, dest="tolerance", help="quadrature error target (default 1e-12)"
+        "--samples", type=int, help=f"Monte Carlo sample count (default {defaults.samples})"
+    )
+    common.add_argument(
+        "--seed", type=int, help=f"Monte Carlo root seed (default {defaults.seed})"
+    )
+    common.add_argument(
+        "--tol",
+        type=float,
+        dest="tolerance",
+        help=f"quadrature error target (default {defaults.tolerance:g})",
     )
     common.add_argument(
         "--points",
         type=int,
         dest="density_points",
-        help="grid size for density output (default 201)",
+        help=f"grid size for density output (default {defaults.density_points})",
     )
     common.add_argument(
         "--format",
-        choices=("json", "csv"),
+        choices=FORMATS,
         dest="output_format",
-        help="report format (default json; density always emits CSV)",
+        help=f"report format (default {defaults.output_format}; density always emits CSV)",
     )
     common.add_argument(
         "--out", type=Path, dest="output_path", help="write output to this file instead of stdout"
@@ -125,19 +143,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         file_data = json.loads(Path(args.config).read_text())
         if not isinstance(file_data, dict):
             raise ValueError("config file must hold a JSON object")
-    overrides = {
-        "base": args.base,
-        "height": args.height,
-        "threshold": args.threshold,
-        "method": args.method,
-        "samples": args.samples,
-        "seed": args.seed,
-        "tolerance": args.tolerance,
-        "density_points": args.density_points,
-        "output_format": args.output_format,
-        "output_path": None if args.output_path is None else str(args.output_path),
-    }
-    return config_from_sources(file_data, overrides)
+    return config_from_sources(file_data, vars(args))
 
 
 def _require_unit_configuration(config: ExperimentConfig) -> None:

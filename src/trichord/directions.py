@@ -68,6 +68,8 @@ class ChordProblem:
     """A triangle together with a chord-length cutoff.
 
     ``threshold`` may be zero, meaning no cutoff: every direction qualifies.
+    Height and threshold over base must stay inside the float range, so the
+    problem scaled to base 1 (``unit_base``) represents the same shape.
     """
 
     triangle: IsoscelesTriangle = IsoscelesTriangle(1.0, 1.0)
@@ -78,6 +80,12 @@ class ChordProblem:
             raise ValueError(
                 f"threshold must be a nonnegative finite length, got {self.threshold}"
             )
+        base, height = self.triangle.base, self.triangle.height
+        if not (0.0 < height / base < math.inf and self.threshold / base < math.inf):
+            raise ValueError(
+                f"base {base}, height {height} and threshold "
+                f"{self.threshold} span more than the floating-point range"
+            )
 
 
 def unit_base(problem: ChordProblem) -> ChordProblem:
@@ -86,19 +94,10 @@ def unit_base(problem: ChordProblem) -> ChordProblem:
     Direction sets depend on the shape only, and the scaled lengths square
     without overflow or underflow, so callers that evaluate many direction
     sets scale once and pass x / base.
-
-    Raises:
-        ValueError: height / base or threshold / base leaves the float range.
     """
     triangle = problem.triangle
     height = triangle.height / triangle.base
-    threshold = problem.threshold / triangle.base
-    if not (0.0 < height < math.inf and threshold < math.inf):
-        raise ValueError(
-            f"base {triangle.base}, height {triangle.height} and threshold "
-            f"{problem.threshold} span more than the floating-point range"
-        )
-    return ChordProblem(IsoscelesTriangle(1.0, height), threshold)
+    return ChordProblem(IsoscelesTriangle(1.0, height), problem.threshold / triangle.base)
 
 
 def is_unit_configuration(problem: ChordProblem) -> bool:

@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Mapping
 
 from .directions import ChordProblem, direction_set, is_unit_configuration, unit_base
 from .estimates import ProbabilityEstimate
 from .geometry import IsoscelesTriangle, limit_angle
 
-_METHODS = ("exact", "quadrature", "montecarlo", "all")
-_FORMATS = ("json", "csv")
+METHODS = ("exact", "quadrature", "montecarlo", "all")
+FORMATS = ("json", "csv")
 
 
 def format_float(value: float) -> str:
@@ -63,7 +63,11 @@ def dumps(payload: Any, indent: int = 2) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full configuration of a run, echoing the command line defaults."""
+    """Full configuration of a run.
+
+    The one schema for a run: its fields and defaults are the config file keys,
+    the flag dests and the report echo.
+    """
 
     triangle: IsoscelesTriangle = IsoscelesTriangle(1.0, 1.0)
     threshold: float = 1.0
@@ -76,9 +80,9 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        ChordProblem(self.triangle, self.threshold)  # validates the threshold
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
+        ChordProblem(self.triangle, self.threshold)  # validates the problem
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if not isinstance(self.samples, int) or self.samples < 1:
             raise ValueError(f"samples must be a positive integer, got {self.samples!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
@@ -89,24 +93,14 @@ class ExperimentConfig:
             raise ValueError(
                 f"density_points must be an integer of at least 2, got {self.density_points!r}"
             )
-        if self.output_format not in _FORMATS:
+        if self.output_format not in FORMATS:
             raise ValueError(
-                f"output_format must be one of {_FORMATS}, got {self.output_format!r}"
+                f"output_format must be one of {FORMATS}, got {self.output_format!r}"
             )
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-shaped view with the documented field names."""
-        return {
-            "triangle": {"base": self.triangle.base, "height": self.triangle.height},
-            "threshold": self.threshold,
-            "method": self.method,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "density_points": self.density_points,
-            "output_format": self.output_format,
-            "output_path": self.output_path,
-        }
+        return asdict(self)
 
 
 def _as_int(name: str, value: Any) -> int:
@@ -125,23 +119,14 @@ def config_from_sources(
 ) -> ExperimentConfig:
     """Merge config file values and flag overrides over the defaults.
 
-    ``overrides`` uses flat keys (base, height, threshold, method, samples,
-    seed, tolerance, density_points, output_format, output_path); entries set
-    to None are ignored.  Unknown file keys are rejected.
+    ``overrides`` is keyed by ``ExperimentConfig`` field name, with ``base``
+    and ``height`` in place of ``triangle``; entries set to None and other
+    keys are ignored.  Each value is coerced to the type of its default.
+    Unknown file keys are rejected.
     """
     data = dict(file_data or {})
-    known = {
-        "triangle",
-        "threshold",
-        "method",
-        "samples",
-        "seed",
-        "tolerance",
-        "density_points",
-        "output_format",
-        "output_path",
-    }
-    unknown = set(data) - known
+    names = [f.name for f in fields(ExperimentConfig)]
+    unknown = set(data) - set(names)
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
     triangle_data = data.get("triangle", {})
@@ -151,33 +136,29 @@ def config_from_sources(
     if tri_unknown:
         raise ValueError(f"unknown triangle fields: {sorted(tri_unknown)}")
 
-    def pick(flat_key: str, file_value: Any, default: Any) -> Any:
-        override = overrides.get(flat_key)
-        if override is not None:
-            return override
-        return default if file_value is None else file_value
+    def pick(name: str, file_value: Any, default: Any) -> Any:
+        value = overrides.get(name)
+        if value is None:
+            value = file_value
+        if value is None:
+            return default
+        if isinstance(default, float):
+            return float(value)
+        if isinstance(default, int):
+            return _as_int(name, value)
+        return str(value)
 
-    base = float(pick("base", triangle_data.get("base"), 1.0))
-    height = float(pick("height", triangle_data.get("height"), 1.0))
-    samples = _as_int("samples", pick("samples", data.get("samples"), 1_000_000))
-    seed = _as_int("seed", pick("seed", data.get("seed"), 0))
-    points = _as_int(
-        "density_points", pick("density_points", data.get("density_points"), 201)
+    defaults = ExperimentConfig()
+    triangle = IsoscelesTriangle(
+        pick("base", triangle_data.get("base"), defaults.triangle.base),
+        pick("height", triangle_data.get("height"), defaults.triangle.height),
     )
-    output_path = overrides.get("output_path")
-    if output_path is None:
-        output_path = data.get("output_path")
-    return ExperimentConfig(
-        triangle=IsoscelesTriangle(base, height),
-        threshold=float(pick("threshold", data.get("threshold"), 1.0)),
-        method=str(pick("method", data.get("method"), "all")),
-        samples=samples,
-        seed=seed,
-        tolerance=float(pick("tolerance", data.get("tolerance"), 1e-12)),
-        density_points=points,
-        output_format=str(pick("output_format", data.get("output_format"), "json")),
-        output_path=None if output_path is None else str(output_path),
-    )
+    values = {
+        name: pick(name, data.get(name), getattr(defaults, name))
+        for name in names
+        if name != "triangle"
+    }
+    return ExperimentConfig(triangle=triangle, **values)
 
 
 @dataclass(frozen=True)

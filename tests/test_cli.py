@@ -302,7 +302,13 @@ def test_infinite_threshold_is_rejected_as_not_finite():
 
 
 @pytest.mark.parametrize(
-    "command", [("simulate", "--samples", "1000"), ("general", "--method", "quadrature")]
+    "command",
+    [
+        ("simulate", "--samples", "1000"),
+        ("general", "--method", "quadrature"),
+        ("exact",),
+        ("density",),
+    ],
 )
 def test_shape_beyond_float_range_is_one_line_error(command):
     # height / base underflows to 0, so no base-1 problem represents it.

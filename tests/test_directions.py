@@ -62,6 +62,17 @@ def test_threshold_validation():
         ChordProblem(IsoscelesTriangle(), math.inf)
 
 
+def test_shape_beyond_float_range_is_rejected():
+    # height / base underflows to 0, so no base-1 problem represents it.
+    with pytest.raises(ValueError) as excinfo:
+        ChordProblem(IsoscelesTriangle(1e300, 1e-30), 1.0)
+    assert str(excinfo.value) == (
+        "base 1e+300, height 1e-30 and threshold 1.0 span more than the floating-point range"
+    )
+    with pytest.raises(ValueError, match="floating-point range"):
+        ChordProblem(IsoscelesTriangle(1e-30, 1.0), 1e300)
+
+
 def test_is_unit_configuration():
     assert is_unit_configuration(UNIT)
     assert not is_unit_configuration(ChordProblem(IsoscelesTriangle(2.0, 1.0), 1.0))

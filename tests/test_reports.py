@@ -2,6 +2,9 @@
 
 import json
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from trichord import (
     Method,
     ProbabilityEstimate,
     base_grid,
+    cli,
     density_profile,
     limit_angle,
     parse_density_csv,
@@ -112,6 +116,42 @@ def test_config_accepts_exact_float_integers():
     assert config.samples == 1_000_000
     with pytest.raises(ValueError):
         config_from_sources({"samples": 10.5}, {})
+
+
+def test_config_round_trips_through_to_dict():
+    defaults = ExperimentConfig()
+    config = ExperimentConfig(
+        triangle=IsoscelesTriangle(2.0, 1.5),
+        threshold=0.8,
+        method="quadrature",
+        samples=5000,
+        seed=3,
+        tolerance=1e-10,
+        density_points=7,
+        output_format="csv",
+        output_path="report.csv",
+    )
+    for f in fields(ExperimentConfig):
+        assert getattr(config, f.name) != getattr(defaults, f.name), f.name
+    assert config_from_sources(config.to_dict(), {}) == config
+
+
+@pytest.mark.parametrize(
+    "command", ["exact", "density", "integrate", "simulate", "general", "verify"]
+)
+def test_every_config_field_is_a_flag_dest(command):
+    # config_from_sources reads the parsed flags by field name, so a renamed
+    # dest would silently stop overriding its field.
+    dests = set(vars(cli.build_parser().parse_args([command])))
+    names = {f.name for f in fields(ExperimentConfig)} - {"triangle"}
+    assert names | {"base", "height"} <= dests
+
+
+def test_readme_example_config_is_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"Example config file:\s*```json\n(.*?)```", readme, re.DOTALL)
+    assert block is not None
+    assert config_from_sources(json.loads(block.group(1)), {}) == ExperimentConfig()
 
 
 def test_base_grid_symmetric_and_ascending():
