@@ -98,42 +98,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "exact",
-        parents=[common],
-        help="closed-form probability (unit configuration only)",
-    )
-    sub.add_parser(
-        "density",
-        parents=[common],
-        help="CSV profile of the angular measure across the base",
-    )
-    sub.add_parser(
-        "integrate",
-        parents=[common],
-        help="probability by adaptive quadrature",
-    )
-    sub.add_parser(
-        "simulate",
-        parents=[common],
-        help="probability by Monte Carlo sampling",
-    )
-    sub.add_parser(
-        "general",
-        parents=[common],
-        help="probability for arbitrary base, height, and cutoff",
-    )
-    verify = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="cross-check closed form, quadrature, and Monte Carlo; exit 3 on mismatch",
-    )
-    verify.add_argument(
-        "--perturb",
-        type=float,
-        default=0.0,
-        help="test hook: bias added to the quadrature probability before the gate",
-    )
+    for name, (help_text, _) in _COMMANDS.items():
+        command = sub.add_parser(name, parents=[common], help=help_text)
+        if name == "verify":
+            command.add_argument(
+                "--perturb",
+                type=float,
+                default=0.0,
+                help="test hook: bias added to the quadrature probability before the gate",
+            )
     return parser
 
 
@@ -169,21 +142,16 @@ def _warn_unconverged(result: QuadratureResult) -> None:
         )
 
 
-def _pairwise_agreement(estimates: dict[str, ProbabilityEstimate]) -> Agreement:
-    names = list(estimates)
-    max_diff = 0.0
-    within = True
-    for i, first in enumerate(names):
-        for second in names[i + 1 :]:
-            a, b = estimates[first], estimates[second]
-            diff = abs(a.p_hat - b.p_hat)
-            max_diff = max(max_diff, diff)
-            allowance = QUADRATURE_AGREEMENT_TOLERANCE + SIGMA_MULTIPLE * (
-                a.std_error + b.std_error
-            )
-            if diff > allowance:
-                within = False
-    return Agreement(max_abs_difference=max_diff, within_tolerance=within)
+def _agreement(
+    quadrature: ProbabilityEstimate, montecarlo: ProbabilityEstimate | None
+) -> Agreement:
+    if montecarlo is None:
+        return Agreement(0.0, True)
+    diff = abs(quadrature.p_hat - montecarlo.p_hat)
+    allowance = QUADRATURE_AGREEMENT_TOLERANCE + SIGMA_MULTIPLE * (
+        quadrature.std_error + montecarlo.std_error
+    )
+    return Agreement(max_abs_difference=diff, within_tolerance=diff <= allowance)
 
 
 def estimate(problem: ChordProblem, samples: int, seed: int) -> ProbabilityEstimate:
@@ -271,32 +239,30 @@ def cmd_general(config: ExperimentConfig, args: argparse.Namespace) -> tuple[int
             "the exact command handles the closed form"
         )
     problem = _problem(config)
-    estimates: dict[str, ProbabilityEstimate] = {}
-    timing: dict[str, float] = {}
-    details: dict[str, Any] = {}
-
     start = time.perf_counter()
     quad = probability_general(problem, config.tolerance)
-    timing["quadrature"] = _elapsed_ms(start)
+    timing = {"quadrature": _elapsed_ms(start)}
     _warn_unconverged(quad)
-    estimates["quadrature"] = ProbabilityEstimate.from_value(
-        quad.probability, Method.QUADRATURE
-    )
-    details["quadrature_evaluations"] = quad.evaluations
-    details["quadrature_converged"] = quad.converged
-
+    estimates = {
+        "quadrature": ProbabilityEstimate.from_value(quad.probability, Method.QUADRATURE)
+    }
+    mc = None
     if config.method in ("montecarlo", "all"):
         start = time.perf_counter()
-        estimates["montecarlo"] = estimate(problem, config.samples, config.seed)
+        mc = estimate(problem, config.samples, config.seed)
         timing["montecarlo"] = _elapsed_ms(start)
+        estimates["montecarlo"] = mc
 
     report = ExperimentReport(
         config=config,
         estimates=estimates,
-        agreement=_pairwise_agreement(estimates),
+        agreement=_agreement(estimates["quadrature"], mc),
         timing_ms=timing,
         tool_version=__version__,
-        details=details,
+        details={
+            "quadrature_evaluations": quad.evaluations,
+            "quadrature_converged": quad.converged,
+        },
     )
     return 0, _render(report, config)
 
@@ -357,29 +323,32 @@ def _render(report: ExperimentReport, config: ExperimentConfig) -> str:
     return report.to_json()
 
 
+# Each subcommand's help text and handler; build_parser and main both read it.
 _COMMANDS = {
-    "exact": cmd_exact,
-    "density": cmd_density,
-    "integrate": cmd_integrate,
-    "simulate": cmd_simulate,
-    "general": cmd_general,
-    "verify": cmd_verify,
+    "exact": ("closed-form probability (unit configuration only)", cmd_exact),
+    "density": ("CSV profile of the angular measure across the base", cmd_density),
+    "integrate": ("probability by adaptive quadrature", cmd_integrate),
+    "simulate": ("probability by Monte Carlo sampling", cmd_simulate),
+    "general": ("probability for arbitrary base, height, and cutoff", cmd_general),
+    "verify": (
+        "cross-check closed form, quadrature, and Monte Carlo; exit 3 on mismatch",
+        cmd_verify,
+    ),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = load_config(args)
-        code, payload = _COMMANDS[args.command](config, args)
+        code, payload = _COMMANDS[args.command][1](config, args)
+        if config.output_path is None:
+            sys.stdout.write(payload)
+        else:
+            Path(config.output_path).write_text(payload)
     except (ValueError, OSError) as exc:
         print(f"trichord: {exc}", file=sys.stderr)
         return 2
-    if config.output_path is not None:
-        Path(config.output_path).write_text(payload)
-    else:
-        sys.stdout.write(payload)
     return code
 
 

@@ -3,7 +3,7 @@
 For a base point P and cutoff t, the admissible directions form a finite
 union of open angular intervals.  Their endpoints are critical angles where
 the chord length crosses t: directions toward intersections of the circle of
-radius t about P with the sides, and directions toward vertices (where the
+radius t about P with the sides, and the direction toward the apex (where the
 struck side changes).  Between consecutive critical angles the indicator is
 constant, so classifying one interior direction classifies the whole cell.
 
@@ -150,8 +150,8 @@ def _circle_segment_angles(
 def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
     """Directions from (x, 0) whose chord to the boundary exceeds the cutoff.
 
-    Collects critical angles (circle-side intersections and vertex
-    directions), classifies each cell between consecutive critical angles by
+    Collects critical angles (circle-side intersections and the apex
+    direction), classifies each cell between consecutive critical angles by
     the chord length at its midpoint, and merges adjacent qualifying cells.
     Lengths are squared, so they should lie well inside 1e+-150; see
     ``unit_base``.
@@ -166,12 +166,9 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
 
     origin = (x, 0.0)
     a, b, c = triangle.vertices()
-    critical = {0.0, math.pi}
-    for vertex in (a, b, c):
-        if math.dist(vertex, origin) > 0.0:
-            angle = math.atan2(vertex[1], vertex[0] - x)
-            if 0.0 < angle < math.pi:
-                critical.add(angle)
+    # A and C lie at angle 0 or pi from any base point (or at the point
+    # itself), so the apex B is the only vertex that adds a critical angle.
+    critical = {0.0, math.pi, math.atan2(b[1], b[0] - x)}
     for e0, e1 in ((a, b), (c, b)):
         critical.update(_circle_segment_angles(origin, problem.threshold, e0, e1))
 

@@ -114,6 +114,16 @@ def _as_int(name: str, value: Any) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _as_float(name: str, value: Any) -> float:
+    # Bare float() would read JSON true as 1.0 and raise TypeError on a list.
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def config_from_sources(
     file_data: Mapping[str, Any] | None, overrides: Mapping[str, Any]
 ) -> ExperimentConfig:
@@ -143,7 +153,7 @@ def config_from_sources(
         if value is None:
             return default
         if isinstance(default, float):
-            return float(value)
+            return _as_float(name, value)
         if isinstance(default, int):
             return _as_int(name, value)
         return str(value)

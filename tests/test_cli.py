@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from trichord import QuadratureResult, cli
+from trichord import ProbabilityEstimate, QuadratureResult, cli
 from trichord.reports import dumps
 
 P_EXACT = 0.016212872164880516  # frozen from a 50-digit evaluation
@@ -143,6 +143,26 @@ def test_general_with_montecarlo_cross_check():
     assert doc["agreement"]["within_tolerance"] is True
 
 
+def _far_from_quadrature(problem, samples, seed):
+    return ProbabilityEstimate.from_counts(samples // 2, samples, seed)
+
+
+def test_general_reports_disagreement_and_still_exits_0(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "estimate", _far_from_quadrature)
+    assert cli.main(["general", "--samples", "1000"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    quadrature = doc["estimates"]["quadrature"]["p_hat"]
+    montecarlo = doc["estimates"]["montecarlo"]["p_hat"]
+    assert montecarlo == 0.5
+    assert doc["agreement"] == {
+        "max_abs_difference": abs(quadrature - montecarlo),
+        "within_tolerance": False,
+    }
+    assert cli.main(["general", "--method", "quadrature"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["agreement"] == {"max_abs_difference": 0.0, "within_tolerance": True}
+
+
 def test_general_rejects_exact_method():
     proc = run_cli("general", "--method", "exact")
     assert proc.returncode == 2
@@ -216,6 +236,33 @@ def test_out_writes_file(tmp_path):
     assert proc.stdout == ""
     doc = json.loads(target.read_text())
     assert round(doc["estimates"]["exact"]["p_hat"], 4) == 0.0162
+
+
+def test_out_into_missing_directory_is_one_line_error(tmp_path):
+    proc = run_cli("exact", "--out", str(tmp_path / "missing" / "x.json"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("trichord: ") and "x.json" in lines[0]
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "file_data, expected",
+    [
+        ({"triangle": {"base": "x"}}, "trichord: base must be a number, got 'x'"),
+        ({"threshold": [1]}, "trichord: threshold must be a number, got [1]"),
+        ({"threshold": True}, "trichord: threshold must be a number, got True"),
+    ],
+    ids=["string", "list", "bool"],
+)
+def test_config_value_of_wrong_type_names_its_field(tmp_path, file_data, expected):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(file_data))
+    proc = run_cli("exact", "--config", str(config_path))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [expected]
 
 
 def test_invalid_values_exit_2():

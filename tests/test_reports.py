@@ -118,6 +118,28 @@ def test_config_accepts_exact_float_integers():
         config_from_sources({"samples": 10.5}, {})
 
 
+@pytest.mark.parametrize(
+    "file_data, field_name",
+    [
+        ({"triangle": {"base": "x"}}, "base"),
+        ({"triangle": {"height": False}}, "height"),
+        ({"threshold": [1]}, "threshold"),
+        ({"threshold": True}, "threshold"),
+        ({"tolerance": {"a": 1}}, "tolerance"),
+    ],
+    ids=["string", "false", "list", "true", "object"],
+)
+def test_config_float_field_of_wrong_type_is_named(file_data, field_name):
+    with pytest.raises(ValueError, match=f"^{field_name} must be a number, got "):
+        config_from_sources(file_data, {})
+
+
+def test_config_accepts_numeric_strings_for_floats():
+    config = config_from_sources({"triangle": {"height": "2.5"}, "threshold": "0.5"}, {})
+    assert config.triangle.height == 2.5
+    assert config.threshold == 0.5
+
+
 def test_config_round_trips_through_to_dict():
     defaults = ExperimentConfig()
     config = ExperimentConfig(
