@@ -14,7 +14,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 from . import __version__
 from .directions import ChordProblem, is_unit_configuration, probability_general
@@ -39,6 +39,8 @@ QUADRATURE_AGREEMENT_TOLERANCE = 1e-8
 
 # Monte Carlo must land within this many binomial standard deviations.
 SIGMA_MULTIPLE = 4.0
+
+T = TypeVar("T")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"report format (default {defaults.output_format}; density always emits CSV)",
     )
     common.add_argument(
-        "--out", type=Path, dest="output_path", help="write output to this file instead of stdout"
+        "--out", dest="output_path", help="write output to this file instead of stdout"
     )
 
     parser = argparse.ArgumentParser(
@@ -162,29 +164,44 @@ def estimate(problem: ChordProblem, samples: int, seed: int) -> ProbabilityEstim
     return sample(problem, samples, seed)
 
 
-def _elapsed_ms(start: float) -> float:
-    return (time.perf_counter() - start) * 1000.0
+def _timed(timing: dict[str, float], name: str, engine: Callable[..., T], *args: Any) -> T:
+    """Call ``engine(*args)`` and record its wall time in ms under ``name``."""
+    start = time.perf_counter()
+    result = engine(*args)
+    timing[name] = (time.perf_counter() - start) * 1000.0
+    return result
+
+
+def _report(
+    config: ExperimentConfig,
+    estimates: dict[str, ProbabilityEstimate],
+    agreement: Agreement,
+    timing: dict[str, float],
+    details: dict[str, Any] | None = None,
+) -> str:
+    """Render the run's report in the configured output format."""
+    report = ExperimentReport(config, estimates, agreement, timing, __version__, details or {})
+    if config.output_format == "csv":
+        return report.to_csv()
+    return report.to_json()
 
 
 def cmd_exact(config: ExperimentConfig, args: argparse.Namespace) -> tuple[int, str]:
     _require_unit_configuration(config)
-    start = time.perf_counter()
+    timing: dict[str, float] = {}
     arctan_form = probability_arctan_form()
-    golden_form = probability_golden_ratio_form()
-    elapsed = _elapsed_ms(start)
-    report = ExperimentReport(
-        config=config,
-        estimates={"exact": ProbabilityEstimate.from_value(golden_form, Method.EXACT)},
-        agreement=Agreement(abs(arctan_form - golden_form), True),
-        timing_ms={"exact": elapsed},
-        tool_version=__version__,
-        details={
+    golden_form = _timed(timing, "exact", probability_golden_ratio_form)
+    return 0, _report(
+        config,
+        {"exact": ProbabilityEstimate.from_value(golden_form, Method.EXACT)},
+        Agreement(abs(arctan_form - golden_form), True),
+        timing,
+        {
             "arctan_form": arctan_form,
             "golden_ratio_form": golden_form,
             "difference": arctan_form - golden_form,
         },
     )
-    return 0, _render(report, config)
 
 
 def cmd_density(config: ExperimentConfig, args: argparse.Namespace) -> tuple[int, str]:
@@ -194,42 +211,25 @@ def cmd_density(config: ExperimentConfig, args: argparse.Namespace) -> tuple[int
 
 def cmd_integrate(config: ExperimentConfig, args: argparse.Namespace) -> tuple[int, str]:
     problem = _problem(config)
-    start = time.perf_counter()
+    timing: dict[str, float] = {}
     if is_unit_configuration(problem):
-        result = probability_by_quadrature(config.tolerance)
+        quad = _timed(timing, "quadrature", probability_by_quadrature, config.tolerance)
     else:
-        result = probability_general(problem, config.tolerance)
-    elapsed = _elapsed_ms(start)
-    _warn_unconverged(result)
-    report = ExperimentReport(
-        config=config,
-        estimates={
-            "quadrature": ProbabilityEstimate.from_value(result.probability, Method.QUADRATURE)
-        },
-        agreement=Agreement(0.0, True),
-        timing_ms={"quadrature": elapsed},
-        tool_version=__version__,
-        details={
-            "integral": result.integral,
-            "evaluations": result.evaluations,
-            "converged": result.converged,
-        },
+        quad = _timed(timing, "quadrature", probability_general, problem, config.tolerance)
+    _warn_unconverged(quad)
+    return 0, _report(
+        config,
+        {"quadrature": ProbabilityEstimate.from_value(quad.probability, Method.QUADRATURE)},
+        Agreement(0.0, True),
+        timing,
+        {"integral": quad.integral, "evaluations": quad.evaluations, "converged": quad.converged},
     )
-    return 0, _render(report, config)
 
 
 def cmd_simulate(config: ExperimentConfig, args: argparse.Namespace) -> tuple[int, str]:
-    start = time.perf_counter()
-    mc = estimate(_problem(config), config.samples, config.seed)
-    elapsed = _elapsed_ms(start)
-    report = ExperimentReport(
-        config=config,
-        estimates={"montecarlo": mc},
-        agreement=Agreement(0.0, True),
-        timing_ms={"montecarlo": elapsed},
-        tool_version=__version__,
-    )
-    return 0, _render(report, config)
+    timing: dict[str, float] = {}
+    mc = _timed(timing, "montecarlo", estimate, _problem(config), config.samples, config.seed)
+    return 0, _report(config, {"montecarlo": mc}, Agreement(0.0, True), timing)
 
 
 def cmd_general(config: ExperimentConfig, args: argparse.Namespace) -> tuple[int, str]:
@@ -239,88 +239,52 @@ def cmd_general(config: ExperimentConfig, args: argparse.Namespace) -> tuple[int
             "the exact command handles the closed form"
         )
     problem = _problem(config)
-    start = time.perf_counter()
-    quad = probability_general(problem, config.tolerance)
-    timing = {"quadrature": _elapsed_ms(start)}
+    timing: dict[str, float] = {}
+    quad = _timed(timing, "quadrature", probability_general, problem, config.tolerance)
     _warn_unconverged(quad)
-    estimates = {
-        "quadrature": ProbabilityEstimate.from_value(quad.probability, Method.QUADRATURE)
-    }
+    estimates = {"quadrature": ProbabilityEstimate.from_value(quad.probability, Method.QUADRATURE)}
     mc = None
     if config.method in ("montecarlo", "all"):
-        start = time.perf_counter()
-        mc = estimate(problem, config.samples, config.seed)
-        timing["montecarlo"] = _elapsed_ms(start)
+        mc = _timed(timing, "montecarlo", estimate, problem, config.samples, config.seed)
         estimates["montecarlo"] = mc
-
-    report = ExperimentReport(
-        config=config,
-        estimates=estimates,
-        agreement=_agreement(estimates["quadrature"], mc),
-        timing_ms=timing,
-        tool_version=__version__,
-        details={
-            "quadrature_evaluations": quad.evaluations,
-            "quadrature_converged": quad.converged,
-        },
+    return 0, _report(
+        config,
+        estimates,
+        _agreement(estimates["quadrature"], mc),
+        timing,
+        {"quadrature_evaluations": quad.evaluations, "quadrature_converged": quad.converged},
     )
-    return 0, _render(report, config)
 
 
 def cmd_verify(config: ExperimentConfig, args: argparse.Namespace) -> tuple[int, str]:
     _require_unit_configuration(config)
-    estimates: dict[str, ProbabilityEstimate] = {}
     timing: dict[str, float] = {}
-
-    start = time.perf_counter()
-    exact_p = probability_golden_ratio_form()
-    timing["exact"] = _elapsed_ms(start)
-    estimates["exact"] = ProbabilityEstimate.from_value(exact_p, Method.EXACT)
-
-    start = time.perf_counter()
-    quad = probability_by_quadrature(config.tolerance)
-    timing["quadrature"] = _elapsed_ms(start)
+    exact_p = _timed(timing, "exact", probability_golden_ratio_form)
+    quad = _timed(timing, "quadrature", probability_by_quadrature, config.tolerance)
+    mc = _timed(timing, "montecarlo", estimate, _problem(config), config.samples, config.seed)
     quad_p = quad.probability + args.perturb
-    estimates["quadrature"] = ProbabilityEstimate.from_value(quad_p, Method.QUADRATURE)
-
-    start = time.perf_counter()
-    mc = estimate(_problem(config), config.samples, config.seed)
-    timing["montecarlo"] = _elapsed_ms(start)
-    estimates["montecarlo"] = mc
-
     sigma = math.sqrt(exact_p * (1.0 - exact_p) / config.samples)
+    allowance = SIGMA_MULTIPLE * sigma
     quadrature_error = abs(quad_p - exact_p)
     montecarlo_error = abs(mc.p_hat - exact_p)
-    passed = (
-        quadrature_error < QUADRATURE_AGREEMENT_TOLERANCE
-        and montecarlo_error < SIGMA_MULTIPLE * sigma
-    )
-    report = ExperimentReport(
-        config=config,
-        estimates=estimates,
-        agreement=Agreement(
-            max_abs_difference=max(
-                quadrature_error, montecarlo_error, abs(mc.p_hat - quad_p)
-            ),
-            within_tolerance=passed,
-        ),
-        timing_ms=timing,
-        tool_version=__version__,
-        details={
+    passed = quadrature_error < QUADRATURE_AGREEMENT_TOLERANCE and montecarlo_error < allowance
+    return (0 if passed else 3), _report(
+        config,
+        {
+            "exact": ProbabilityEstimate.from_value(exact_p, Method.EXACT),
+            "quadrature": ProbabilityEstimate.from_value(quad_p, Method.QUADRATURE),
+            "montecarlo": mc,
+        },
+        Agreement(max(quadrature_error, montecarlo_error, abs(mc.p_hat - quad_p)), passed),
+        timing,
+        {
             "quadrature_error": quadrature_error,
             "quadrature_tolerance": QUADRATURE_AGREEMENT_TOLERANCE,
             "montecarlo_error": montecarlo_error,
-            "montecarlo_allowance": SIGMA_MULTIPLE * sigma,
+            "montecarlo_allowance": allowance,
             "montecarlo_sigma": sigma,
         },
     )
-    return (0 if passed else 3), _render(report, config)
-
-
-def _render(report: ExperimentReport, config: ExperimentConfig) -> str:
-    if config.output_format == "csv":
-        return report.to_csv()
-    return report.to_json()
 
 
 # Each subcommand's help text and handler; build_parser and main both read it.

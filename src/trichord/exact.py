@@ -15,7 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .geometry import SQRT5, require_on_unit_base
+from .geometry import SQRT5, UNIT_TRIANGLE, require_on_base
 
 GOLDEN_RATIO = (1.0 + SQRT5) / 2.0
 
@@ -26,7 +26,7 @@ def primitive_arcsin_down(x: float) -> float:
     Equals (x - 1/2)*asin((1 - 2x)/sqrt(5)) - sqrt(-x^2 + x + 1), with the
     integration constant fixed at zero.
     """
-    require_on_unit_base(x)
+    require_on_base(UNIT_TRIANGLE, x)
     return (x - 0.5) * math.asin((1.0 - 2.0 * x) / SQRT5) - math.sqrt(-x * x + x + 1.0)
 
 
@@ -36,7 +36,7 @@ def primitive_arcsin_up(x: float) -> float:
     Equals (x + 1/2)*asin((1 + 2x)/sqrt(5)) + sqrt(-x^2 - x + 1), with the
     integration constant fixed at zero.
     """
-    require_on_unit_base(x)
+    require_on_base(UNIT_TRIANGLE, x)
     return (x + 0.5) * math.asin((1.0 + 2.0 * x) / SQRT5) + math.sqrt(-x * x - x + 1.0)
 
 
@@ -47,7 +47,7 @@ def primitive_x_over_root(x: float) -> float:
     collects the boundary terms produced by integrating the arcsin factors by
     parts.
     """
-    require_on_unit_base(x)
+    require_on_base(UNIT_TRIANGLE, x)
     return math.sqrt(-x * x + x + 1.0) + 0.5 * math.asin((1.0 - 2.0 * x) / SQRT5)
 
 
@@ -56,7 +56,7 @@ def primitive_inv_root(x: float) -> float:
 
     Equals -(1/2)*asin((1 - 2x)/sqrt(5)).
     """
-    require_on_unit_base(x)
+    require_on_base(UNIT_TRIANGLE, x)
     return -0.5 * math.asin((1.0 - 2.0 * x) / SQRT5)
 
 

@@ -69,6 +69,10 @@ class IsoscelesTriangle:
         return math.atan2(2.0 * self.height, self.base)
 
 
+# Built once: the unit-configuration closed forms check every abscissa against it.
+UNIT_TRIANGLE = IsoscelesTriangle()
+
+
 @dataclass(frozen=True)
 class RayHit:
     """Where an upward ray first meets the upper boundary.
@@ -104,12 +108,6 @@ def require_on_base(triangle: IsoscelesTriangle, x: float) -> None:
     half = triangle.base / 2.0
     if not (math.isfinite(x) and -half <= x <= half):
         raise OutOfBaseError(f"x={x} lies outside the base [{-half}, {half}]")
-
-
-def require_on_unit_base(x: float) -> None:
-    """Raise OutOfBaseError unless x lies on the unit base [-1/2, 1/2]."""
-    if not (math.isfinite(x) and -0.5 <= x <= 0.5):
-        raise OutOfBaseError(f"x={x} lies outside the unit base [-0.5, 0.5]")
 
 
 def side_hit(triangle: IsoscelesTriangle, x: float, theta: float) -> RayHit:
@@ -185,7 +183,7 @@ def limit_angle_components(x: float) -> LimitAngleBreakdown:
     Raises:
         OutOfBaseError: x lies outside [-1/2, 1/2].
     """
-    require_on_unit_base(x)
+    require_on_base(UNIT_TRIANGLE, x)
     hit_ab = math.asin((1.0 - 2.0 * x) / SQRT5)
     hit_cb = math.asin((1.0 + 2.0 * x) / SQRT5)
     base = math.atan(2.0)

@@ -124,6 +124,13 @@ def _as_float(name: str, value: Any) -> float:
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 
+def _as_str(name: str, value: Any) -> str:
+    # str() would turn a JSON list into a file name such as "['a', 1]".
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"{name} must be a string, got {value!r}")
+
+
 def config_from_sources(
     file_data: Mapping[str, Any] | None, overrides: Mapping[str, Any]
 ) -> ExperimentConfig:
@@ -131,7 +138,8 @@ def config_from_sources(
 
     ``overrides`` is keyed by ``ExperimentConfig`` field name, with ``base``
     and ``height`` in place of ``triangle``; entries set to None and other
-    keys are ignored.  Each value is coerced to the type of its default.
+    keys are ignored.  Each value is coerced to the type of its default, except
+    that string fields must already be strings.
     Unknown file keys are rejected.
     """
     data = dict(file_data or {})
@@ -156,7 +164,7 @@ def config_from_sources(
             return _as_float(name, value)
         if isinstance(default, int):
             return _as_int(name, value)
-        return str(value)
+        return _as_str(name, value)
 
     defaults = ExperimentConfig()
     triangle = IsoscelesTriangle(

@@ -254,8 +254,9 @@ def test_out_into_missing_directory_is_one_line_error(tmp_path):
         ({"triangle": {"base": "x"}}, "trichord: base must be a number, got 'x'"),
         ({"threshold": [1]}, "trichord: threshold must be a number, got [1]"),
         ({"threshold": True}, "trichord: threshold must be a number, got True"),
+        ({"method": 5}, "trichord: method must be a string, got 5"),
     ],
-    ids=["string", "list", "bool"],
+    ids=["string", "list", "bool", "int-method"],
 )
 def test_config_value_of_wrong_type_names_its_field(tmp_path, file_data, expected):
     config_path = tmp_path / "run.json"
@@ -263,6 +264,18 @@ def test_config_value_of_wrong_type_names_its_field(tmp_path, file_data, expecte
     proc = run_cli("exact", "--config", str(config_path))
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [expected]
+
+
+def test_config_output_path_must_be_a_string(tmp_path, monkeypatch, capsys):
+    # str() once turned this list into a file named "['a', 1]".
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"output_path": ["a", 1]}))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["exact", "--config", str(config_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["trichord: output_path must be a string, got ['a', 1]"]
+    assert list(tmp_path.iterdir()) == [config_path]
 
 
 def test_invalid_values_exit_2():
@@ -279,16 +292,25 @@ def test_version_flag():
     assert "0.1.0" in proc.stdout
 
 
-def _unconverged(problem, tolerance):
+def _unconverged(*args):
+    # Stands in for either quadrature engine; the tolerance is the last argument.
     return QuadratureResult(
-        integral=1.0, probability=0.25, evaluations=7, tolerance=tolerance, converged=False
+        integral=1.0, probability=0.25, evaluations=7, tolerance=args[-1], converged=False
     )
 
 
-@pytest.mark.parametrize("command", ["general", "integrate"])
-def test_unconverged_quadrature_warns_on_stderr(command, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "probability_general", _unconverged)
-    argv = [command, "--base", "2", "--method", "quadrature", "--tol", "1e-9"]
+@pytest.mark.parametrize(
+    "command, engine, shape",
+    [
+        ("general", "probability_general", ["--base", "2"]),
+        ("integrate", "probability_general", ["--base", "2"]),
+        ("integrate", "probability_by_quadrature", []),
+    ],
+    ids=["general", "integrate", "integrate-unit"],
+)
+def test_unconverged_quadrature_warns_on_stderr(command, engine, shape, monkeypatch, capsys):
+    monkeypatch.setattr(cli, engine, _unconverged)
+    argv = [command, *shape, "--method", "quadrature", "--tol", "1e-9"]
     assert cli.main(argv) == 0
     out, err = capsys.readouterr()
     doc = json.loads(out)
@@ -366,3 +388,49 @@ def test_shape_beyond_float_range_is_one_line_error(command):
         "span more than the floating-point range"
     )
     assert proc.stderr.strip() == expected
+
+
+_GENERAL = ["--base", "2", "--height", "1.5", "--threshold", "0.8"]
+_QUADRATURE_DETAILS = ["integral", "evaluations", "converged"]
+_GENERAL_DETAILS = ["quadrature_evaluations", "quadrature_converged"]
+
+
+@pytest.mark.parametrize(
+    "argv, estimates, details",
+    [
+        (["exact"], ["exact"], ["arctan_form", "golden_ratio_form", "difference"]),
+        (["integrate"], ["quadrature"], _QUADRATURE_DETAILS),
+        (["integrate", *_GENERAL], ["quadrature"], _QUADRATURE_DETAILS),
+        (["simulate", "--samples", "1000"], ["montecarlo"], None),
+        (["general", "--method", "quadrature"], ["quadrature"], _GENERAL_DETAILS),
+        (
+            ["general", "--method", "all", "--samples", "1000"],
+            ["quadrature", "montecarlo"],
+            _GENERAL_DETAILS,
+        ),
+        (
+            ["verify", "--samples", "1000"],
+            ["exact", "quadrature", "montecarlo"],
+            [
+                "quadrature_error",
+                "quadrature_tolerance",
+                "montecarlo_error",
+                "montecarlo_allowance",
+                "montecarlo_sigma",
+            ],
+        ),
+    ],
+    ids=[
+        "exact", "integrate", "integrate-general", "simulate", "general", "general-all", "verify"
+    ],
+)
+def test_report_layout_is_pinned(argv, estimates, details, capsys):
+    # Reports are compared byte for byte apart from timing_ms values, so the
+    # key order and the names each engine is timed under are part of the output.
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    top = ["config", "estimates", "agreement", "timing_ms", "tool_version"]
+    assert list(doc) == (top if details is None else [*top, "details"])
+    assert list(doc["estimates"]) == estimates
+    assert list(doc["timing_ms"]) == estimates
+    assert list(doc.get("details", {})) == (details or [])

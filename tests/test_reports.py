@@ -134,6 +134,20 @@ def test_config_float_field_of_wrong_type_is_named(file_data, field_name):
         config_from_sources(file_data, {})
 
 
+@pytest.mark.parametrize(
+    "file_data, expected",
+    [
+        ({"output_path": ["a", 1]}, "output_path must be a string, got ['a', 1]"),
+        ({"method": 5}, "method must be a string, got 5"),
+        ({"output_format": True}, "output_format must be a string, got True"),
+    ],
+    ids=["list", "int", "bool"],
+)
+def test_config_string_field_of_wrong_type_is_named(file_data, expected):
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        config_from_sources(file_data, {})
+
+
 def test_config_accepts_numeric_strings_for_floats():
     config = config_from_sources({"triangle": {"height": "2.5"}, "threshold": "0.5"}, {})
     assert config.triangle.height == 2.5
