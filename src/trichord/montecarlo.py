@@ -7,10 +7,9 @@ pure function of (seed, i), and block success counts are integers reduced in
 block order, so estimates are bit-identical for any worker count.
 
 Sampling runs on the problem scaled to base 1 (``directions.unit_base``), so
-any scale gives the same counts without overflow or underflow.  Each sample
-costs one tan: the chord length is a ratio of two terms built from
-tan(theta/2), and success compares the numerator against the cutoff times
-the denominator, with no division.
+any scale gives the same counts without overflow or underflow.  By convexity a
+chord beats the cutoff exactly when the point at that distance along its ray
+lies strictly inside the triangle; that test costs one tan per sample.
 """
 
 from __future__ import annotations
@@ -32,64 +31,28 @@ def _block_generator(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(sequence))
 
 
-def _chord_terms(
-    triangle: IsoscelesTriangle, xs: np.ndarray | float, thetas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Chord lengths from base points xs at angles thetas, as numerator / denominator.
+def _successes(
+    triangle: IsoscelesTriangle, threshold: float, xs: np.ndarray | float, thetas: np.ndarray
+) -> np.ndarray:
+    """Which rays from base points xs at angles thetas have a chord longer than threshold.
 
-    With u = tan(theta/2), sin = 2u/(1+u^2) and cos = 1 - u*sin: one tan and
-    one division by 1+u^2 >= 1 replace cos, sin and the apex arctan2.  The ray
-    strikes side AB (sigma = +1) when h*cos + x*sin >= 0, otherwise side CB
-    (sigma = -1), and the line intersection gives the length as
-    h*(half - sigma*x) / (sigma*h*cos + half*sin).  The denominator is positive
-    whenever the numerator is, so a success test needs no division.
-
-    The numerator is zero only at a base endpoint x = +-half for rays along
-    or outside the side through it.  There the length is 0, except along the
-    exact float direction of the apex, where it is the side length; those
-    entries get that numerator over a denominator of 1.
+    By convexity that is when q = (x + t*cos, t*sin) lies strictly inside:
+    h*|x + t*cos| + half*t*sin < h*half.  With u = tan(theta/2), s = 1 + u^2,
+    s*cos = 2 - s and s*sin = 2u, times s/h: |(x - t)*s + 2t| + (2*half*t/h)*u < half*s.
     """
     half = triangle.base / 2.0
-    h = triangle.height
-    # Fresh arrays cost page faults, so three buffers are reused in place:
-    # u becomes h*cos and then the denominator, sigma becomes the numerator.
     u = np.multiply(thetas, 0.5)
     np.tan(u, out=u)
-    sin = np.multiply(u, u)
-    sin += 1.0
-    np.divide(u, sin, out=sin)
-    sin *= 2.0
-    h_cos = u
-    h_cos *= sin
-    np.subtract(1.0, h_cos, out=h_cos)
-    h_cos *= h
-    sigma = np.multiply(xs, sin)
-    sigma += h_cos
-    np.copysign(1.0, sigma, out=sigma)
-    denominator = h_cos
-    denominator *= sigma
-    sin *= half
-    denominator += sin
-    numerator = sigma
-    numerator *= xs
-    np.subtract(half, numerator, out=numerator)
-    numerator *= h
-    endpoint = numerator == 0.0
-    if endpoint.any():
-        x_end = np.broadcast_to(xs, thetas.shape)[endpoint]
-        toward_apex = thetas[endpoint] == np.arctan2(h, -x_end)
-        numerator[endpoint] = np.where(toward_apex, math.hypot(half, h), 0.0)
-        denominator[endpoint] = 1.0
-    return numerator, denominator
-
-
-def _chord_lengths(
-    triangle: IsoscelesTriangle, xs: np.ndarray | float, thetas: np.ndarray
-) -> np.ndarray:
-    """Chord lengths from base points xs at angles thetas, vectorized."""
-    numerator, denominator = _chord_terms(triangle, xs, thetas)
-    numerator /= denominator
-    return numerator
+    s = np.multiply(u, u)
+    s += 1.0
+    left = np.subtract(xs, threshold)
+    left *= s
+    left += 2.0 * threshold
+    np.abs(left, out=left)
+    u *= 2.0 * half * threshold / triangle.height
+    left += u
+    s *= half
+    return left < s
 
 
 def _block_sizes(samples: int) -> list[int]:
@@ -101,6 +64,10 @@ def _count_block(
     problem: ChordProblem, seed: int, block: int, size: int, fixed_x: float | None
 ) -> int:
     """Successes in one block of a problem at base 1."""
+    if problem.threshold == 0.0:
+        return size
+    if problem.threshold > 1.0 + problem.triangle.height:  # longer than every chord
+        return 0
     rng = _block_generator(seed, block)
     if fixed_x is None:
         xs = rng.random(size)
@@ -113,9 +80,7 @@ def _count_block(
     while degenerate.any():
         thetas[degenerate] = rng.random(int(degenerate.sum())) * math.pi
         degenerate = thetas == 0.0
-    numerator, denominator = _chord_terms(problem.triangle, xs, thetas)
-    denominator *= problem.threshold
-    return int(np.count_nonzero(numerator > denominator))
+    return int(np.count_nonzero(_successes(problem.triangle, problem.threshold, xs, thetas)))
 
 
 def _run_blocks(

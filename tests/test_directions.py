@@ -278,6 +278,31 @@ def test_probability_general_converges_and_matches_quadpack(base, height, thresh
     _assert_matches_reference(problem, tolerance)
 
 
+# Adaptive Simpson accepts a panel of this shape too early at tol 1e-10 and
+# lands 3.5x outside its bound with converged=True (ROADMAP item 2).
+EARLY_ACCEPTANCE = ChordProblem(
+    IsoscelesTriangle(2.3409493128542507, 3.371844730074333), 1.624224626784513
+)
+
+
+@pytest.mark.parametrize(
+    "tolerance",
+    [
+        1e-12,
+        pytest.param(
+            1e-10,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="early acceptance in adaptive Simpson (ROADMAP item 2 FOUND)",
+            ),
+        ),
+    ],
+)
+def test_probability_general_early_acceptance_shape(tolerance):
+    _assert_matches_reference(EARLY_ACCEPTANCE, tolerance)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(
     log_base=st.floats(-2.0, 2.0),
@@ -328,3 +353,40 @@ def test_tolerance_share_that_underflows_stays_positive():
     result = probability_general(problem, 1e-30)
     assert result.probability == pytest.approx(P_EXACT, abs=1e-10)
     assert not result.converged
+
+
+def _second_moment(triangle, x):
+    """Integral over t of 2t * m(x, t), m the direction-set measure at cutoff t.
+
+    QUADPACK splits at the distances from (x, 0) to the vertices and to both
+    side lines, where the measure has kinks and cusps.
+    """
+    from scipy.integrate import IntegrationWarning, quad
+
+    half, height = triangle.base / 2.0, triangle.height
+    side = math.hypot(half, height)
+    vertices = [half - x, math.hypot(x, height), half + x]
+    lines = [(half - x) * height / side, (half + x) * height / side]
+    longest = max(vertices)
+    points = sorted({d for d in vertices + lines if 0.0 < d < longest})
+
+    def integrand(t):
+        return 2.0 * t * direction_set(ChordProblem(triangle, t), x).measure
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        value, _ = quad(integrand, 0.0, longest, points=points, epsabs=0.0, epsrel=1e-13)
+    return value
+
+
+@pytest.mark.parametrize(
+    "base, height", [(1.0, 1.0), (1.0, 0.01), (1.0, 100.0), (2.5, 0.75), (0.01, 1.0)]
+)
+def test_direction_set_second_moment_is_the_area(base, height):
+    # The triangle is star-shaped from every base point, so half the integral
+    # of L^2 over the angle is its area; by the layer-cake formula that is
+    # the integral of 2t * m(x, t) over t, for every x.
+    triangle = IsoscelesTriangle(base, height)
+    half = base / 2.0
+    for x in (half, -half, -0.3 * half, 0.0, 0.7 * half):
+        assert _second_moment(triangle, x) == pytest.approx(base * height, rel=1e-12, abs=0.0), x

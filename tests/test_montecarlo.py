@@ -17,7 +17,7 @@ from trichord import (
     limit_angle,
     side_hit,
 )
-from trichord.montecarlo import BLOCK_SIZE, _block_generator, _chord_lengths
+from trichord.montecarlo import BLOCK_SIZE, _block_generator, _successes
 
 P_EXACT = 0.016212872164880516  # frozen from a 50-digit evaluation
 
@@ -62,6 +62,13 @@ def test_unreachable_threshold_never_succeeds():
     assert est.p_hat == 0.0
     assert est.std_error == 0.0
     assert est.ci95 == (0.0, 0.0)
+
+
+def test_threshold_beyond_every_chord_never_succeeds():
+    # The kernel is skipped, so (x - t)*s cannot overflow.
+    problem = ChordProblem(IsoscelesTriangle(), 1e300)
+    assert estimate(problem, 100_000, seed=42).successes == 0
+    assert empirical_limit_angle(problem, 0.5, 100_000, seed=42) == 0.0
 
 
 def test_partial_and_multi_block_runs_agree():
@@ -140,14 +147,22 @@ def test_empirical_limit_angle_rejects_off_base_points():
         empirical_limit_angle(UNIT, 0.75, 100, seed=0)
 
 
+def _assert_success_brackets_side_hit(triangle, x, theta):
+    """The sample succeeds just below the side_hit chord length and fails just above."""
+    length = side_hit(triangle, x, theta).distance
+    below = length * (1.0 - 1e-10) - 1e-12
+    above = length * (1.0 + 1e-10) + 1e-12
+    xs, thetas = np.array([x]), np.array([theta])
+    assert _successes(triangle, below, xs, thetas)[0], (x, theta, length)
+    assert not _successes(triangle, above, xs, thetas)[0], (x, theta, length)
+
+
 def test_vectorized_lengths_match_side_hit():
     rng = _block_generator(seed=11, block=0)
     xs = (rng.random(500) - 0.5) * 1.0
     thetas = rng.random(500) * math.pi
-    lengths = _chord_lengths(UNIT.triangle, xs, thetas)
-    for x, theta, length in zip(xs, thetas, lengths):
-        hit = side_hit(UNIT.triangle, float(x), float(theta))
-        assert length == pytest.approx(hit.distance, rel=1e-10, abs=1e-12)
+    for x, theta in zip(xs, thetas):
+        _assert_success_brackets_side_hit(UNIT.triangle, float(x), float(theta))
 
 
 def test_vectorized_lengths_match_side_hit_generic_triangle():
@@ -155,10 +170,8 @@ def test_vectorized_lengths_match_side_hit_generic_triangle():
     rng = _block_generator(seed=13, block=0)
     xs = (rng.random(300) - 0.5) * triangle.base
     thetas = rng.random(300) * math.pi
-    lengths = _chord_lengths(triangle, xs, thetas)
-    for x, theta, length in zip(xs, thetas, lengths):
-        hit = side_hit(triangle, float(x), float(theta))
-        assert length == pytest.approx(hit.distance, rel=1e-10, abs=1e-12)
+    for x, theta in zip(xs, thetas):
+        _assert_success_brackets_side_hit(triangle, float(x), float(theta))
 
 
 def test_success_indicator_matches_direction_set_membership():
@@ -168,15 +181,15 @@ def test_success_indicator_matches_direction_set_membership():
     s = direction_set(UNIT, x)
     rng = _block_generator(seed=21, block=0)
     thetas = rng.random(2000) * math.pi
-    lengths = _chord_lengths(UNIT.triangle, np.full(2000, x), thetas)
+    successes = _successes(UNIT.triangle, 1.0, np.full(2000, x), thetas)
     checked = 0
-    for theta, length in zip(thetas, lengths):
+    for theta, success in zip(thetas, successes):
         near_boundary = any(
             abs(theta - edge) < 1e-9 for pair in s.intervals for edge in pair
         )
         if near_boundary or theta == 0.0:
             continue
-        assert (length > UNIT.threshold) == s.contains(float(theta))
+        assert success == s.contains(float(theta))
         checked += 1
     assert checked > 1900
 
@@ -204,15 +217,21 @@ def _edge_rays(triangle):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("triangle", [UNIT.triangle, IsoscelesTriangle(2.5, 0.75)])
 def test_chord_lengths_match_side_hit_at_edge_rays(triangle):
-    # Along a side from its base endpoint the float direction of the apex
-    # must give the side length, not the 0 of the rays outside that side.
-    rays = _edge_rays(triangle)
-    xs = np.array([x for x, _ in rays])
-    thetas = np.array([theta for _, theta in rays])
-    lengths = _chord_lengths(triangle, xs, thetas)
-    for (x, theta), length in zip(rays, lengths):
-        hit = side_hit(triangle, x, theta)
-        assert length == pytest.approx(hit.distance, rel=1e-10, abs=1e-12), (x, theta)
+    half = triangle.base / 2.0
+    for x, theta in _edge_rays(triangle):
+        # From a base endpoint toward the apex the ray runs along a side, so
+        # the point at any cutoff lies on the boundary and rounding decides
+        # it; a sample needs both the exact endpoint and this exact angle.
+        if abs(x) == half and theta == math.atan2(triangle.height, -x):
+            continue
+        _assert_success_brackets_side_hit(triangle, x, theta)
+
+
+def test_zero_threshold_agrees_with_direction_set_at_base_vertices():
+    problem = ChordProblem(IsoscelesTriangle(), 0.0)
+    for x in (-0.5, 0.2, 0.5):
+        value = empirical_limit_angle(problem, x, 1000, seed=0)
+        assert value == math.pi == direction_set(problem, x).measure
 
 
 @pytest.mark.filterwarnings("error")
