@@ -3,9 +3,10 @@
 For a base point P and cutoff t, the admissible directions form a finite
 union of open angular intervals.  Their endpoints are critical angles where
 the chord length crosses t: directions toward intersections of the circle of
-radius t about P with the sides, and the direction toward the apex (where the
-struck side changes).  Between consecutive critical angles the indicator is
-constant, so classifying one interior direction classifies the whole cell.
+radius t about P with the side lines, and the direction toward the apex
+(where the struck side changes).  Between consecutive critical angles the
+indicator is constant, so classifying one interior direction classifies the
+whole cell.
 
 As a function of x the measure is analytic between closed-form breakpoints:
 the tangencies, where the circle of radius t about (x, 0) touches a side line
@@ -20,12 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .geometry import SEGMENT_SLACK, IsoscelesTriangle, Point, require_on_base, side_hit
+from .geometry import IsoscelesTriangle, require_on_base, side_hit
 from .quadrature import QuadratureResult, integrate_profile
-
-# |r^2 - d^2| below this share of r^2 counts as tangency (d the distance from
-# the circle's center to the side line): one root instead of two.
-TANGENCY_TOLERANCE = 1e-14
 
 # Cells between critical angles no wider than this are left unclassified.
 MIN_CELL_WIDTH = 1e-15
@@ -109,52 +106,17 @@ def is_unit_configuration(problem: ChordProblem) -> bool:
     )
 
 
-def _circle_segment_angles(
-    origin: Point, radius: float, e0: Point, e1: Point
-) -> list[float]:
-    """Angles from ``origin`` toward circle-segment intersection points.
-
-    Solves |e0 + u*(e1 - e0) - origin|^2 = radius^2 for the segment parameter
-    u, keeps roots with u in [0, 1] up to slack, and returns their viewing
-    angles within (0, pi).  The discriminant comes from the cross product
-    (Lagrange's identity) and each point is the foot of the perpendicular
-    from ``origin`` plus an offset along the side, so both stay accurate
-    relative to the radius when the circle is small.
-    """
-    seg_x, seg_y = e1[0] - e0[0], e1[1] - e0[1]
-    off_x, off_y = e0[0] - origin[0], e0[1] - origin[1]
-    a = seg_x * seg_x + seg_y * seg_y
-    along = off_x * seg_x + off_y * seg_y
-    cross = off_x * seg_y - off_y * seg_x
-    scale = a * radius * radius
-    gap = scale - cross * cross  # a * (radius^2 - distance^2)
-    if gap < -TANGENCY_TOLERANCE * scale:
-        return []
-    if gap <= TANGENCY_TOLERANCE * scale:
-        offsets = (0.0,)
-    else:
-        root = math.sqrt(gap)
-        offsets = (-root, root)
-    angles = []
-    for offset in offsets:
-        u = (offset - along) / a
-        if -SEGMENT_SLACK <= u <= 1.0 + SEGMENT_SLACK:
-            rel_x = (cross * seg_y + offset * seg_x) / a
-            rel_y = (offset * seg_y - cross * seg_x) / a
-            angle = math.atan2(rel_y, rel_x)
-            if 0.0 < angle < math.pi:
-                angles.append(angle)
-    return angles
-
-
 def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
     """Directions from (x, 0) whose chord to the boundary exceeds the cutoff.
 
-    Collects critical angles (circle-side intersections and the apex
-    direction), classifies each cell between consecutive critical angles by
-    the chord length at its midpoint, and merges adjacent qualifying cells.
-    Lengths are squared, so they should lie well inside 1e+-150; see
-    ``unit_base``.
+    Critical angles are 0, pi, the apex direction and the directions where
+    the circle of radius t about (x, 0) crosses a side line.  Times the side
+    length s, that line lies at depth (half -+ x)*h and the circle has radius
+    t*s; a crossing sits sqrt(radius^2 - depth^2) along the side from the
+    foot of the perpendicular, and atan2 cancels s.  A crossing beyond the
+    segment only splits a cell.  Each cell is classified by the chord length
+    at its midpoint, and adjacent qualifying cells are merged.  Lengths are
+    multiplied, so they should lie well inside 1e+-150; see ``unit_base``.
 
     Raises:
         OutOfBaseError: x lies outside the base.
@@ -164,13 +126,21 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
     if problem.threshold == 0.0:
         return AngularIntervalSet(((0.0, math.pi),))
 
-    origin = (x, 0.0)
-    a, b, c = triangle.vertices()
-    # A and C lie at angle 0 or pi from any base point (or at the point
-    # itself), so the apex B is the only vertex that adds a critical angle.
-    critical = {0.0, math.pi, math.atan2(b[1], b[0] - x)}
-    for e0, e1 in ((a, b), (c, b)):
-        critical.update(_circle_segment_angles(origin, problem.threshold, e0, e1))
+    half, height = triangle.base / 2.0, triangle.height
+    reach = problem.threshold * math.hypot(half, height)
+    # The base vertices lie at angle 0 or pi from any base point (or at the
+    # point itself), so the apex is the only vertex that adds a critical angle.
+    critical = {0.0, math.pi, math.atan2(height, -x)}
+    # Side AB has outward normal (h, half)/s, side CB (-h, half)/s.
+    for depth, sign in (((half - x) * height, 1.0), ((half + x) * height, -1.0)):
+        if depth < reach:
+            chord = math.sqrt((reach - depth) * (reach + depth))
+            for along in (chord, -chord):
+                angle = math.atan2(
+                    depth * half + along * height, sign * (depth * height - along * half)
+                )
+                if 0.0 < angle < math.pi:
+                    critical.add(angle)
 
     angles = sorted(critical)
     merged: list[list[float]] = []

@@ -41,18 +41,22 @@ def _successes(
     s*cos = 2 - s and s*sin = 2u, times s/h: |(x - t)*s + 2t| + (2*half*t/h)*u < half*s.
     """
     half = triangle.base / 2.0
-    u = np.multiply(thetas, 0.5)
-    np.tan(u, out=u)
-    s = np.multiply(u, u)
-    s += 1.0
-    left = np.subtract(xs, threshold)
-    left *= s
-    left += 2.0 * threshold
-    np.abs(left, out=left)
-    u *= 2.0 * half * threshold / triangle.height
-    left += u
-    s *= half
-    return left < s
+    # At extreme shapes (x - t)*s or the u term can overflow to +-inf.  The
+    # true left side then exceeds the right side, half*s <= 1.4e32, so the
+    # test still fails as it should, and left is never inf - inf.
+    with np.errstate(over="ignore"):
+        u = np.multiply(thetas, 0.5)
+        np.tan(u, out=u)
+        s = np.multiply(u, u)
+        s += 1.0
+        left = np.subtract(xs, threshold)
+        left *= s
+        left += 2.0 * threshold
+        np.abs(left, out=left)
+        u *= 2.0 * half * threshold / triangle.height
+        left += u
+        s *= half
+        return left < s
 
 
 def _block_sizes(samples: int) -> list[int]:

@@ -166,18 +166,85 @@ def test_measure_is_continuous_in_x():
     assert steps[2] < 1e-6
 
 
-def test_boundary_rays_hit_at_threshold_distance():
+@pytest.mark.parametrize(
+    "base, height, threshold",
+    [
+        (1.0, 1.0, 1.0),
+        (1.0, 0.01, 0.5),
+        (1.0, 100.0, 50.0),
+        (2.5, 0.75, 1.1),
+        (1.0, 0.5, 0.7),  # t > height: some crossings lie beyond the apex
+    ],
+)
+def test_boundary_rays_hit_at_threshold_distance(base, height, threshold):
+    problem = ChordProblem(IsoscelesTriangle(base, height), threshold)
     rng = np.random.default_rng(3)
     checked = 0
     for _ in range(100):
-        x = float(rng.uniform(-0.5, 0.5))
-        for start, end in direction_set(UNIT, x).intervals:
+        x = float(rng.uniform(-base / 2.0, base / 2.0))
+        for start, end in direction_set(problem, x).intervals:
             for edge in (start, end):
                 if 1e-9 < edge < math.pi - 1e-9:
-                    hit = side_hit(UNIT.triangle, x, edge)
-                    assert hit.distance == pytest.approx(1.0, abs=1e-9)
+                    hit = side_hit(problem.triangle, x, edge)
+                    assert hit.distance == pytest.approx(threshold, rel=1e-9, abs=0.0)
                     checked += 1
     assert checked > 50
+
+
+def _measure_50_digits(problem, x):
+    """Direction-set measure at 50 digits: pi minus the arcs outside the sides.
+
+    The point at distance t along a ray leaves the triangle exactly when it
+    crosses a side line, which happens within acos(d/t) of that side's
+    outward normal, d the distance from (x, 0) to the line.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        half = mpmath.mpf(problem.triangle.base) / 2
+        height, t = mpmath.mpf(problem.triangle.height), mpmath.mpf(problem.threshold)
+        side = mpmath.hypot(half, height)
+        normal = mpmath.atan2(half, height)  # outward normal of AB
+        arcs = []
+        for depth, center in ((half - x, normal), (half + x, mpmath.pi - normal)):
+            distance = depth * height / side
+            if distance < t:
+                width = mpmath.acos(distance / t)
+                arcs.append((max(0, center - width), min(mpmath.pi, center + width)))
+        covered = sum(end - start for start, end in arcs)
+        if len(arcs) == 2:
+            (a0, a1), (b0, b1) = arcs
+            covered -= max(0, min(a1, b1) - max(a0, b0))
+        return float(mpmath.pi - covered)
+
+
+# Cutoffs whose tangency x = +-(base/2 - t*side/height) lies at a tenth, half
+# and nine tenths of the way in from the base's ends, on flat, tall and
+# middling shapes, plus one where a solver that snapped near-tangent circles
+# to a single root was 2e-7 rad off.
+TANGENCY_CASES = [
+    (base, height, share * (base / 2.0) * height / math.hypot(base / 2.0, height))
+    for base, height in ((1.0, 0.01), (1.0, 100.0), (2.0, 1.5), (2.5, 0.75))
+    for share in (0.1, 0.5, 0.9)
+] + [(2.0, 1.5, 0.04158171345953375)]
+
+
+@pytest.mark.parametrize("base, height, threshold", TANGENCY_CASES)
+def test_measure_is_accurate_at_tangencies(base, height, threshold):
+    # At a tangency the measure has a square-root cusp, so an error of one
+    # ulp in the distance to the side line costs about 1e-8 rad.
+    problem = ChordProblem(IsoscelesTriangle(base, height), threshold)
+    tangency = base / 2.0 - threshold * math.hypot(base / 2.0, height) / height
+    for center in (tangency, -tangency):
+        points = [center]
+        for direction in (-math.inf, math.inf):
+            x = center
+            for _ in range(4):
+                x = math.nextafter(x, direction)
+                points.append(x)
+        for x in points:
+            error = abs(direction_set(problem, x).measure - _measure_50_digits(problem, x))
+            assert error <= 1e-7, (x, error)
 
 
 def test_direction_set_rejects_off_base_points():

@@ -71,6 +71,14 @@ def test_threshold_beyond_every_chord_never_succeeds():
     assert empirical_limit_angle(problem, 0.5, 100_000, seed=42) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_extreme_shape_counts_without_overflow_warning():
+    # At base 1 this is height 1e300 with t = 1e300, below the longest chord,
+    # so the kernel runs and (x - t)*s overflows to -inf for steep rays.
+    problem = ChordProblem(IsoscelesTriangle(1e-300, 1.0), 1.0)
+    assert estimate(problem, 200_000, seed=0).successes == 0
+
+
 def test_partial_and_multi_block_runs_agree():
     samples = 2 * BLOCK_SIZE + 17  # three blocks, partial tail
     multi = estimate(UNIT, samples, seed=9, workers=2)
