@@ -258,6 +258,8 @@ def cmd_general(config: ExperimentConfig, args: argparse.Namespace) -> tuple[int
 
 def cmd_verify(config: ExperimentConfig, args: argparse.Namespace) -> tuple[int, str]:
     _require_unit_configuration(config)
+    if not math.isfinite(args.perturb):
+        raise ValueError(f"perturb must be a finite number, got {args.perturb}")
     timing: dict[str, float] = {}
     exact_p = _timed(timing, "exact", probability_golden_ratio_form)
     quad = _timed(timing, "quadrature", probability_by_quadrature, config.tolerance)

@@ -363,6 +363,14 @@ def test_tolerance_below_roundoff_finishes_with_warning():
     assert doc["estimates"]["quadrature"]["p_hat"] == pytest.approx(P_EXACT, abs=1e-10)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_perturb_is_rejected_by_name(value):
+    proc = run_cli("verify", "--samples", "1000", "--perturb", value)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.strip() == f"trichord: perturb must be a finite number, got {value}"
+
+
 def test_infinite_threshold_is_rejected_as_not_finite():
     proc = run_cli("integrate", "--threshold", "inf")
     assert proc.returncode == 2

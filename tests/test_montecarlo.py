@@ -17,7 +17,7 @@ from trichord import (
     limit_angle,
     side_hit,
 )
-from trichord.montecarlo import BLOCK_SIZE, _block_generator, _successes
+from trichord.montecarlo import BLOCK_SIZE, SLICE_SIZE, _block_generator, _successes
 
 P_EXACT = 0.016212872164880516  # frozen from a 50-digit evaluation
 
@@ -286,3 +286,69 @@ def test_success_counts_are_pinned(shape):
             for seed in range(10)
         ]
         assert counts == PINNED_COUNTS[shape], workers
+
+
+# Success counts of the whole-block kernel, seeds 0-2, at sample counts on
+# both sides of the slice and block boundaries.  A kernel slice that is
+# dropped or counted twice moves them.
+BOUNDARY_COUNTS = {
+    (1.0, 1.0, 1.0): {
+        1: [0, 0, 0],
+        16_383: [285, 268, 239],
+        16_384: [279, 257, 261],
+        16_385: [257, 257, 245],
+        65_537: [1062, 1027, 1016],
+        2 * 65_536 + 16_385: [2381, 2350, 2358],
+    },
+    (2.0, 1.5, 0.8): {
+        1: [0, 0, 0],
+        16_383: [8631, 8648, 8685],
+        16_384: [8650, 8568, 8536],
+        16_385: [8527, 8588, 8519],
+        65_537: [34202, 34394, 34596],
+        2 * 65_536 + 16_385: [77041, 77580, 77554],
+    },
+}
+
+# empirical_limit_angle success counts at 16 385 samples, seeds 0-2, at
+# x = -base/2, 0.3*base/2 and base/2.
+BOUNDARY_ANGLE_COUNTS = {
+    (1.0, 1.0, 1.0): [[990, 911, 903], [60, 71, 53], [944, 984, 905]],
+    (2.0, 1.5, 0.8): [[5124, 5093, 5129], [9323, 9444, 9379], [5058, 5156, 5127]],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BOUNDARY_COUNTS))
+def test_success_counts_at_slice_and_block_boundaries_are_pinned(shape):
+    assert list(BOUNDARY_COUNTS[shape]) == [
+        1,
+        SLICE_SIZE - 1,
+        SLICE_SIZE,
+        SLICE_SIZE + 1,
+        BLOCK_SIZE + 1,
+        2 * BLOCK_SIZE + SLICE_SIZE + 1,
+    ]
+    base, height, threshold = shape
+    problem = ChordProblem(IsoscelesTriangle(base, height), threshold)
+    for samples, pinned in BOUNDARY_COUNTS[shape].items():
+        for workers in (1, 2):
+            counts = [
+                estimate(problem, samples, seed=seed, workers=workers).successes
+                for seed in range(3)
+            ]
+            assert counts == pinned, (samples, workers)
+
+
+@pytest.mark.parametrize("shape", sorted(BOUNDARY_ANGLE_COUNTS))
+def test_empirical_limit_angle_at_slice_boundary_is_pinned(shape):
+    base, height, threshold = shape
+    problem = ChordProblem(IsoscelesTriangle(base, height), threshold)
+    half = base / 2.0
+    samples = 16_385  # one full kernel slice and a one-sample tail
+    for x, pinned in zip((-half, 0.3 * half, half), BOUNDARY_ANGLE_COUNTS[shape]):
+        for workers in (1, 2):
+            angles = [
+                empirical_limit_angle(problem, x, samples, seed=seed, workers=workers)
+                for seed in range(3)
+            ]
+            assert angles == [math.pi * count / samples for count in pinned], (x, workers)
