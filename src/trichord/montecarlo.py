@@ -6,11 +6,15 @@ block the abscissas are drawn before the angles.  Sample i is therefore a
 pure function of (seed, i), and block success counts are integers reduced in
 block order, so estimates are bit-identical for any worker count.
 
-The kernel runs on consecutive ``SLICE_SIZE``-sample slices of a block's
-draws and sums their counts.  Its three temporaries then take 128 KB each
-instead of 512 KB, so one kernel call works in about 0.6 MB, which fits a
-2 MiB L2 cache, and a run's peak allocation falls.  The draws, and so the
-counts, are the same as for the whole block.
+Each worker thread of a run keeps one set of buffers: the block's two draw
+arrays and the kernel's scratch.  Philox is counter-based, so drawing into a
+kept array with ``out=`` gives the same values as a fresh draw.  The angle
+uniforms U become half-angles U*(pi/2) in one pass, which equals
+(U*pi)*0.5 exactly because halving is exact.  The kernel runs on consecutive
+``SLICE_SIZE``-sample slices of a block's draws and sums their counts; its
+scratch then takes 128 KB an array instead of 512 KB, so one kernel call
+works in about 0.5 MB, which fits a 2 MiB L2 cache.  The draws, and so the
+counts, are the same as for the whole block drawn into fresh arrays.
 
 Sampling runs on the problem scaled to base 1 (``directions.unit_base``), so
 any scale gives the same counts without overflow or underflow.  By convexity a
@@ -21,6 +25,8 @@ lies strictly inside the triangle; that test costs one tan per sample.
 from __future__ import annotations
 
 import math
+import operator
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -33,38 +39,56 @@ BLOCK_SIZE = 1 << 16
 # Samples per kernel call; a block is decided in BLOCK_SIZE / SLICE_SIZE calls.
 SLICE_SIZE = 1 << 14
 
+# The kernel's two float arrays and one bool array.
+_Scratch = tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 def _block_generator(seed: int, block: int) -> np.random.Generator:
     sequence = np.random.SeedSequence(entropy=seed, spawn_key=(block,))
     return np.random.Generator(np.random.Philox(sequence))
 
 
+def _kernel_scratch(size: int) -> _Scratch:
+    return np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+
+
 def _successes(
-    triangle: IsoscelesTriangle, threshold: float, xs: np.ndarray, thetas: np.ndarray
+    triangle: IsoscelesTriangle,
+    threshold: float,
+    xs: np.ndarray,
+    half_thetas: np.ndarray,
+    scratch: _Scratch | None = None,
 ) -> np.ndarray:
-    """Which rays from base points xs at angles thetas have a chord longer than threshold.
+    """Which rays from base points xs at angles 2*half_thetas have a chord longer than threshold.
 
     By convexity that is when q = (x + t*cos, t*sin) lies strictly inside:
     h*|x + t*cos| + half*t*sin < h*half.  With u = tan(theta/2), s = 1 + u^2,
     s*cos = 2 - s and s*sin = 2u, times s/h: |(x - t)*s + 2t| + (2*half*t/h)*u < half*s.
+
+    half_thetas is overwritten.  The result is a view of ``scratch`` (two
+    float arrays and one bool array at least as long as xs), which is
+    allocated when absent.
     """
+    size = len(half_thetas)
+    if scratch is None:
+        scratch = _kernel_scratch(size)
+    s, left, inside = (array[:size] for array in scratch)
     half = triangle.base / 2.0
     # At extreme shapes (x - t)*s or the u term can overflow to +-inf.  The
     # true left side then exceeds the right side, half*s <= 1.4e32, so the
     # test still fails as it should, and left is never inf - inf.
     with np.errstate(over="ignore"):
-        u = np.multiply(thetas, 0.5)
-        np.tan(u, out=u)
-        s = np.multiply(u, u)
+        u = np.tan(half_thetas, out=half_thetas)
+        np.multiply(u, u, out=s)
         s += 1.0
-        left = np.subtract(xs, threshold)
+        np.subtract(xs, threshold, out=left)
         left *= s
         left += 2.0 * threshold
         np.abs(left, out=left)
         u *= 2.0 * half * threshold / triangle.height
         left += u
         s *= half
-        return left < s
+        return np.less(left, s, out=inside)
 
 
 def _block_sizes(samples: int) -> list[int]:
@@ -73,29 +97,34 @@ def _block_sizes(samples: int) -> list[int]:
 
 
 def _count_block(
-    problem: ChordProblem, seed: int, block: int, size: int, fixed_x: float | None
+    problem: ChordProblem,
+    seed: int,
+    block: int,
+    size: int,
+    fixed_x: float | None,
+    buffers: tuple[np.ndarray, np.ndarray, _Scratch],
 ) -> int:
-    """Successes in one block of a problem at base 1."""
-    if problem.threshold == 0.0:
-        return size
-    if problem.threshold > 1.0 + problem.triangle.height:  # longer than every chord
-        return 0
+    """Successes in one block of a problem at base 1, drawn into ``buffers``."""
+    x_buffer, u_buffer, scratch = buffers
     rng = _block_generator(seed, block)
     if fixed_x is None:
-        xs = rng.random(size)
+        xs = rng.random(out=x_buffer[:size])
         xs -= 0.5
     else:
         xs = np.broadcast_to(fixed_x, size)
-    thetas = rng.random(size)
-    thetas *= math.pi
-    degenerate = thetas == 0.0
-    while degenerate.any():
-        thetas[degenerate] = rng.random(int(degenerate.sum())) * math.pi
-        degenerate = thetas == 0.0
+    u = rng.random(out=u_buffer[:size])
+    if not u.all():  # an angle of exactly 0 is redrawn
+        degenerate = u == 0.0
+        while degenerate.any():
+            u[degenerate] = rng.random(int(degenerate.sum()))
+            degenerate = u == 0.0
+    u *= math.pi / 2
     successes = 0
     for start in range(0, size, SLICE_SIZE):
         stop = start + SLICE_SIZE
-        mask = _successes(problem.triangle, problem.threshold, xs[start:stop], thetas[start:stop])
+        mask = _successes(
+            problem.triangle, problem.threshold, xs[start:stop], u[start:stop], scratch
+        )
         successes += int(np.count_nonzero(mask))
     return successes
 
@@ -107,19 +136,36 @@ def _run_blocks(
     workers: int,
     fixed_x: float | None,
 ) -> int:
+    for name, value in (("samples", samples), ("seed", seed), ("workers", workers)):
+        try:
+            operator.index(value)
+            integral = not isinstance(value, bool)
+        except TypeError:
+            integral = False
+        if not integral:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    sizes = _block_sizes(samples)
     unit = unit_base(problem)
+    if unit.threshold == 0.0:
+        return samples
+    if unit.threshold > 1.0 + unit.triangle.height:  # longer than every chord
+        return 0
+    sizes = _block_sizes(samples)
     if fixed_x is not None:
         fixed_x /= problem.triangle.base
+    local = threading.local()
 
     def count(block: int) -> int:
-        return _count_block(unit, seed, block, sizes[block], fixed_x)
+        if not hasattr(local, "buffers"):  # xs and angle draws, kernel scratch
+            local.buffers = (
+                np.empty(BLOCK_SIZE), np.empty(BLOCK_SIZE), _kernel_scratch(SLICE_SIZE)
+            )
+        return _count_block(unit, seed, block, sizes[block], fixed_x, local.buffers)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(count, range(len(sizes))))

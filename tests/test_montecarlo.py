@@ -17,6 +17,8 @@ from trichord import (
     limit_angle,
     side_hit,
 )
+from trichord import montecarlo
+from trichord.directions import unit_base
 from trichord.montecarlo import BLOCK_SIZE, SLICE_SIZE, _block_generator, _successes
 
 P_EXACT = 0.016212872164880516  # frozen from a 50-digit evaluation
@@ -123,6 +125,34 @@ def test_estimate_validation():
         estimate(UNIT, 100, seed=-1)
 
 
+@pytest.mark.parametrize(
+    "engine",
+    [estimate, lambda problem, **kwargs: empirical_limit_angle(problem, 0.25, **kwargs)],
+    ids=["estimate", "empirical_limit_angle"],
+)
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("samples", 1e5),
+        ("samples", True),
+        ("seed", 0.0),
+        ("seed", False),
+        ("workers", 1.0),
+        ("workers", True),
+    ],
+)
+def test_non_integral_arguments_are_rejected_by_name(engine, name, value):
+    arguments = {"samples": 1000, "seed": 0, "workers": 1, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        engine(UNIT, **arguments)
+
+
+def test_numpy_integer_arguments_are_accepted():
+    plain = estimate(UNIT, BLOCK_SIZE + 3, seed=3, workers=2)
+    numpy = estimate(UNIT, np.int64(BLOCK_SIZE + 3), seed=np.uint32(3), workers=np.int8(2))
+    assert numpy.successes == plain.successes
+
+
 def test_method_tags():
     assert estimate(UNIT, 10, seed=0).method is Method.MONTE_CARLO
     assert ProbabilityEstimate.from_value(0.5, Method.EXACT).method is Method.EXACT
@@ -161,8 +191,8 @@ def _assert_success_brackets_side_hit(triangle, x, theta):
     below = length * (1.0 - 1e-10) - 1e-12
     above = length * (1.0 + 1e-10) + 1e-12
     xs, thetas = np.array([x]), np.array([theta])
-    assert _successes(triangle, below, xs, thetas)[0], (x, theta, length)
-    assert not _successes(triangle, above, xs, thetas)[0], (x, theta, length)
+    assert _successes(triangle, below, xs, thetas * 0.5)[0], (x, theta, length)
+    assert not _successes(triangle, above, xs, thetas * 0.5)[0], (x, theta, length)
 
 
 def test_vectorized_lengths_match_side_hit():
@@ -189,7 +219,7 @@ def test_success_indicator_matches_direction_set_membership():
     s = direction_set(UNIT, x)
     rng = _block_generator(seed=21, block=0)
     thetas = rng.random(2000) * math.pi
-    successes = _successes(UNIT.triangle, 1.0, np.full(2000, x), thetas)
+    successes = _successes(UNIT.triangle, 1.0, np.full(2000, x), thetas * 0.5)
     checked = 0
     for theta, success in zip(thetas, successes):
         near_boundary = any(
@@ -352,3 +382,95 @@ def test_empirical_limit_angle_at_slice_boundary_is_pinned(shape):
                 for seed in range(3)
             ]
             assert angles == [math.pi * count / samples for count in pinned], (x, workers)
+
+
+def _patch_block_zero_angles(monkeypatch, positions, angle_draw, zeros):
+    """Patch block 0's angle draw, the ``angle_draw``-th call to ``random``.
+
+    With ``zeros`` it holds exact zeros at ``positions``; otherwise the
+    stream's next draws are put there, in order, as a redraw would.  Returns
+    the sizes of block 0's draws and the angle arrays the kernel receives.
+    """
+    block_generator = montecarlo._block_generator
+    kernel = montecarlo._successes
+    draws, angles = [], []
+
+    class Generator:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, size=None, out=None):
+            values = self.rng.random(size, out=out)
+            draws.append(len(values))
+            if len(draws) == angle_draw:
+                values[positions] = 0.0 if zeros else self.rng.random(len(positions))
+            return values
+
+    def patched_generator(seed, block):
+        rng = block_generator(seed, block)
+        return Generator(rng) if block == 0 else rng
+
+    def recording_kernel(triangle, threshold, xs, thetas, *scratch):
+        angles.append(thetas.copy())
+        return kernel(triangle, threshold, xs, thetas, *scratch)
+
+    monkeypatch.setattr(montecarlo, "_block_generator", patched_generator)
+    monkeypatch.setattr(montecarlo, "_successes", recording_kernel)
+    return draws, angles
+
+
+@pytest.mark.parametrize("fixed_x", [None, 0.3])
+def test_zero_angles_are_redrawn_from_the_stream_in_order(monkeypatch, fixed_x):
+    problem = ChordProblem(IsoscelesTriangle(2.0, 1.5), 0.8)
+    samples = BLOCK_SIZE + 5
+    positions = [0, 7, SLICE_SIZE - 1, SLICE_SIZE + 1, BLOCK_SIZE - 1]
+    angle_draw = 2 if fixed_x is None else 1  # the abscissas are drawn first
+
+    def run(zeros):
+        with monkeypatch.context() as patch:
+            draws, angles = _patch_block_zero_angles(patch, positions, angle_draw, zeros)
+            if fixed_x is None:
+                successes = estimate(problem, samples, seed=4).successes
+            else:
+                successes = empirical_limit_angle(problem, fixed_x, samples, seed=4)
+        return successes, draws, np.concatenate(angles)
+
+    zeroed, zeroed_draws, zeroed_angles = run(zeros=True)
+    replaced, replaced_draws, replaced_angles = run(zeros=False)
+    assert replaced_draws == [BLOCK_SIZE] * angle_draw
+    assert zeroed_draws == replaced_draws + [len(positions)]
+    assert replaced_angles.all()
+    assert np.array_equal(zeroed_angles, replaced_angles)
+    assert zeroed == replaced
+
+
+def _count_in_fresh_arrays(problem, samples, seed, fixed_x=None):
+    """Successes drawn block by block into new arrays and decided in one kernel call."""
+    unit = unit_base(problem)
+    successes = 0
+    for block, start in enumerate(range(0, samples, BLOCK_SIZE)):
+        size = min(BLOCK_SIZE, samples - start)
+        rng = _block_generator(seed, block)
+        if fixed_x is None:
+            xs = rng.random(size) - 0.5
+        else:
+            xs = np.full(size, fixed_x / problem.triangle.base)
+        thetas = rng.random(size) * math.pi
+        assert thetas.all()
+        mask = _successes(unit.triangle, unit.threshold, xs, thetas * 0.5)
+        successes += int(np.count_nonzero(mask))
+    return successes
+
+
+def test_kept_buffers_give_the_counts_of_fresh_arrays():
+    # Three calls in a row: a partial tail block, the fixed-x path that
+    # leaves the abscissa buffer unused, then another shape.
+    samples = 2 * BLOCK_SIZE + 17
+    general = ChordProblem(IsoscelesTriangle(2.0, 1.5), 0.8)
+    x = 0.3 * general.triangle.base / 2.0
+    first = estimate(general, samples, seed=8, workers=2).successes
+    angle = empirical_limit_angle(general, x, samples, seed=8, workers=2)
+    last = estimate(UNIT, samples, seed=8, workers=2).successes
+    assert first == _count_in_fresh_arrays(general, samples, seed=8)
+    assert angle == math.pi * _count_in_fresh_arrays(general, samples, seed=8, fixed_x=x) / samples
+    assert last == _count_in_fresh_arrays(UNIT, samples, seed=8)
