@@ -3,18 +3,18 @@
 Samples are laid out in fixed blocks of ``BLOCK_SIZE``; each block derives
 its own Philox generator from the root seed and the block index, and inside a
 block the abscissas are drawn before the angles.  Sample i is therefore a
-pure function of (seed, i), and block success counts are integers reduced in
-block order, so estimates are bit-identical for any worker count.
+pure function of (seed, i), and block success counts are integers, so
+estimates are bit-identical for any worker count.
 
-Each worker thread of a run keeps one set of buffers: the block's two draw
-arrays and the kernel's scratch.  Philox is counter-based, so drawing into a
-kept array with ``out=`` gives the same values as a fresh draw.  The angle
-uniforms U become half-angles U*(pi/2) in one pass, which equals
-(U*pi)*0.5 exactly because halving is exact.  The kernel runs on consecutive
-``SLICE_SIZE``-sample slices of a block's draws and sums their counts; its
-scratch then takes 128 KB an array instead of 512 KB, so one kernel call
-works in about 0.5 MB, which fits a 2 MiB L2 cache.  The draws, and so the
-counts, are the same as for the whole block drawn into fresh arrays.
+A run starts one task per worker, at most one per block.  Task w of k counts
+the stripe of blocks w, w + k, ... and draws each of them into two arrays
+and a kernel scratch that it allocates once.  Philox is counter-based, so
+drawing into a kept array with ``out=`` gives the same values as a fresh
+draw.  The angle uniforms U become half-angles U*(pi/2) in one pass, which
+equals (U*pi)*0.5 exactly because halving is exact.  The kernel runs on
+consecutive ``SLICE_SIZE``-sample slices of a block's draws, so its scratch
+takes 128 KB an array and one call works in about 0.5 MB, which fits a
+2 MiB L2 cache.
 
 Sampling runs on the problem scaled to base 1 (``directions.unit_base``), so
 any scale gives the same counts without overflow or underflow.  By convexity a
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -91,84 +90,74 @@ def _successes(
         return np.less(left, s, out=inside)
 
 
-def _block_sizes(samples: int) -> list[int]:
-    full, rest = divmod(samples, BLOCK_SIZE)
-    return [BLOCK_SIZE] * full + ([rest] if rest else [])
-
-
-def _count_block(
-    problem: ChordProblem,
-    seed: int,
-    block: int,
-    size: int,
-    fixed_x: float | None,
-    buffers: tuple[np.ndarray, np.ndarray, _Scratch],
+def _count_stripe(
+    problem: ChordProblem, samples: int, seed: int, fixed_x: float | None, stripe: range
 ) -> int:
-    """Successes in one block of a problem at base 1, drawn into ``buffers``."""
-    x_buffer, u_buffer, scratch = buffers
-    rng = _block_generator(seed, block)
-    if fixed_x is None:
-        xs = rng.random(out=x_buffer[:size])
-        xs -= 0.5
-    else:
-        xs = np.broadcast_to(fixed_x, size)
-    u = rng.random(out=u_buffer[:size])
-    if not u.all():  # an angle of exactly 0 is redrawn
-        degenerate = u == 0.0
-        while degenerate.any():
-            u[degenerate] = rng.random(int(degenerate.sum()))
-            degenerate = u == 0.0
-    u *= math.pi / 2
+    """Successes of a problem at base 1 in the blocks of ``stripe``."""
+    x_buffer, u_buffer = np.empty(BLOCK_SIZE), np.empty(BLOCK_SIZE)
+    scratch = _kernel_scratch(SLICE_SIZE)
     successes = 0
-    for start in range(0, size, SLICE_SIZE):
-        stop = start + SLICE_SIZE
-        mask = _successes(
-            problem.triangle, problem.threshold, xs[start:stop], u[start:stop], scratch
-        )
-        successes += int(np.count_nonzero(mask))
+    for block in stripe:
+        size = min(BLOCK_SIZE, samples - block * BLOCK_SIZE)
+        rng = _block_generator(seed, block)
+        if fixed_x is None:
+            xs = rng.random(out=x_buffer[:size])
+            xs -= 0.5
+        else:
+            xs = np.broadcast_to(fixed_x, size)
+        u = rng.random(out=u_buffer[:size])
+        while not u.all():  # an angle of exactly 0 is redrawn
+            degenerate = u == 0.0
+            u[degenerate] = rng.random(int(degenerate.sum()))
+        u *= math.pi / 2
+        for start in range(0, size, SLICE_SIZE):
+            stop = start + SLICE_SIZE
+            mask = _successes(
+                problem.triangle, problem.threshold, xs[start:stop], u[start:stop], scratch
+            )
+            successes += int(np.count_nonzero(mask))
     return successes
 
 
-def _run_blocks(
-    problem: ChordProblem,
-    samples: int,
-    seed: int,
-    workers: int,
-    fixed_x: float | None,
-) -> int:
+def _integer_arguments(samples: int, seed: int, workers: int) -> tuple[int, int, int]:
+    """samples, seed and workers as Python ints, after checking each."""
+    values = []
     for name, value in (("samples", samples), ("seed", seed), ("workers", workers)):
         try:
-            operator.index(value)
+            values.append(operator.index(value))
             integral = not isinstance(value, bool)
         except TypeError:
             integral = False
         if not integral:
             raise ValueError(f"{name} must be an integer, got {value!r}")
+    samples, seed, workers = values
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    return samples, seed, workers
+
+
+def _run_blocks(
+    problem: ChordProblem, samples: int, seed: int, workers: int, fixed_x: float | None
+) -> int:
     unit = unit_base(problem)
     if unit.threshold == 0.0:
         return samples
     if unit.threshold > 1.0 + unit.triangle.height:  # longer than every chord
         return 0
-    sizes = _block_sizes(samples)
     if fixed_x is not None:
         fixed_x /= problem.triangle.base
-    local = threading.local()
-
-    def count(block: int) -> int:
-        if not hasattr(local, "buffers"):  # xs and angle draws, kernel scratch
-            local.buffers = (
-                np.empty(BLOCK_SIZE), np.empty(BLOCK_SIZE), _kernel_scratch(SLICE_SIZE)
-            )
-        return _count_block(unit, seed, block, sizes[block], fixed_x, local.buffers)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(count, range(len(sizes))))
+    blocks = -(-samples // BLOCK_SIZE)
+    tasks = min(workers, blocks)
+    with ThreadPoolExecutor(max_workers=tasks) as pool:
+        futures = [
+            pool.submit(_count_stripe, unit, samples, seed, fixed_x, range(w, blocks, tasks))
+            for w in range(tasks)
+        ]
+        return sum(future.result() for future in futures)
 
 
 def estimate(
@@ -180,12 +169,14 @@ def estimate(
         problem: triangle and cutoff.
         samples: number of (x, theta) draws, at least 1.
         seed: root seed; fully determines the result.
-        workers: thread count; the estimate is identical for any value.
+        workers: thread count, at most one per block of ``BLOCK_SIZE``
+            samples; the estimate is identical for any value.
 
     The abscissa is uniform on the base and the angle uniform on (0, pi);
     an angle drawn exactly 0 is redrawn.  Success means chord length strictly
     greater than the cutoff.
     """
+    samples, seed, workers = _integer_arguments(samples, seed, workers)
     successes = _run_blocks(problem, samples, seed, workers, None)
     return ProbabilityEstimate.from_counts(successes, samples, seed)
 
@@ -200,5 +191,6 @@ def empirical_limit_angle(
     configuration).
     """
     require_on_base(problem.triangle, x)
+    samples, seed, workers = _integer_arguments(samples, seed, workers)
     successes = _run_blocks(problem, samples, seed, workers, x)
     return math.pi * successes / samples

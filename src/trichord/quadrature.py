@@ -18,8 +18,8 @@ class QuadratureResult:
 
     ``probability`` is filled by the callers that normalize the integral into
     a probability and stays None for a bare integration.  ``converged`` is
-    False when some subinterval hit the depth cap before meeting its error
-    share.
+    False when some subinterval was accepted without meeting its error share,
+    at the depth cap or at roundoff.
     """
 
     integral: float

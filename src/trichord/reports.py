@@ -83,13 +83,13 @@ class ExperimentConfig:
         ChordProblem(self.triangle, self.threshold)  # validates the problem
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not isinstance(self.samples, int) or self.samples < 1:
+        if not _is_int(self.samples) or self.samples < 1:
             raise ValueError(f"samples must be a positive integer, got {self.samples!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if not isinstance(self.density_points, int) or self.density_points < 2:
+        if not _is_int(self.density_points) or self.density_points < 2:
             raise ValueError(
                 f"density_points must be an integer of at least 2, got {self.density_points!r}"
             )
@@ -103,11 +103,13 @@ class ExperimentConfig:
         return asdict(self)
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_int(name: str, value: Any) -> int:
     # JSON files may carry integers written as 1e6; accept exact ones.
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if isinstance(value, int):
+    if _is_int(value):
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)

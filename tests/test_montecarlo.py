@@ -151,6 +151,11 @@ def test_numpy_integer_arguments_are_accepted():
     plain = estimate(UNIT, BLOCK_SIZE + 3, seed=3, workers=2)
     numpy = estimate(UNIT, np.int64(BLOCK_SIZE + 3), seed=np.uint32(3), workers=np.int8(2))
     assert numpy.successes == plain.successes
+    # Unsigned and narrow counts: the block count and from_counts take Python ints.
+    for samples in (np.uint8(200), np.uint64(BLOCK_SIZE + 4464)):
+        numpy = estimate(UNIT, samples, seed=np.uint64(3), workers=np.int8(3))
+        assert numpy == estimate(UNIT, int(samples), seed=3, workers=3)
+        assert type(numpy.samples) is int and type(numpy.seed) is int
 
 
 def test_method_tags():
@@ -310,7 +315,7 @@ PINNED_COUNTS = {
 def test_success_counts_are_pinned(shape):
     base, height, threshold = shape
     problem = ChordProblem(IsoscelesTriangle(base, height), threshold)
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         counts = [
             estimate(problem, 1_000_000, seed=seed, workers=workers).successes
             for seed in range(10)
@@ -361,7 +366,7 @@ def test_success_counts_at_slice_and_block_boundaries_are_pinned(shape):
     base, height, threshold = shape
     problem = ChordProblem(IsoscelesTriangle(base, height), threshold)
     for samples, pinned in BOUNDARY_COUNTS[shape].items():
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             counts = [
                 estimate(problem, samples, seed=seed, workers=workers).successes
                 for seed in range(3)

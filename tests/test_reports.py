@@ -76,6 +76,11 @@ def test_config_validation():
         ExperimentConfig(density_points=1)
     with pytest.raises(ValueError):
         ExperimentConfig(output_format="yaml")
+    # bool is an int subclass, but neither value is a count.
+    with pytest.raises(ValueError, match="^samples must be a positive integer, got True$"):
+        ExperimentConfig(samples=True)
+    with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got False$"):
+        ExperimentConfig(seed=False)
 
 
 def test_config_to_dict_shape():
