@@ -3,10 +3,12 @@
 For a base point P and cutoff t, the admissible directions form a finite
 union of open angular intervals.  Their endpoints are critical angles where
 the chord length crosses t: directions toward intersections of the circle of
-radius t about P with the side lines, and the direction toward the apex
-(where the struck side changes).  Between consecutive critical angles the
-indicator is constant, so classifying one interior direction classifies the
-whole cell.
+radius t about P with the side lines.  The direction toward the apex, where
+the struck side changes, is not one: from inside the base the chord length
+is continuous there, and from a base endpoint, where it jumps, the near
+side's crossing lies in that same direction.  Between consecutive critical
+angles the indicator is constant, so classifying one interior direction
+classifies the whole cell.
 
 As a function of x the measure is analytic between closed-form breakpoints:
 the tangencies, where the circle of radius t about (x, 0) touches a side line
@@ -109,13 +111,18 @@ def is_unit_configuration(problem: ChordProblem) -> bool:
 def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
     """Directions from (x, 0) whose chord to the boundary exceeds the cutoff.
 
-    Critical angles are 0, pi, the apex direction and the directions where
-    the circle of radius t about (x, 0) crosses a side line.  Times the side
-    length s, that line lies at depth (half -+ x)*h and the circle has radius
-    t*s; a crossing sits sqrt(radius^2 - depth^2) along the side from the
-    foot of the perpendicular, and atan2 cancels s.  A crossing beyond the
-    segment only splits a cell.  Each cell is classified by the chord length
-    at its midpoint, and adjacent qualifying cells are merged.  Lengths are
+    Critical angles are 0, pi and the directions where the circle of radius
+    t about (x, 0) crosses a side line.  Times the side length s, that line
+    lies at depth (half -+ x)*h and the circle has radius t*s; a crossing
+    sits sqrt(radius^2 - depth^2) along the side from the foot of the
+    perpendicular, and atan2 cancels s.  A crossing beyond the segment only
+    splits a cell.  The apex direction needs no critical angle: for
+    |x| < base/2 the chord length is continuous across it, so the indicator
+    changes only where the chord equals t, at a side crossing.  At
+    x = +-base/2 the chord jumps there from 0 to the side length, but the
+    near side has depth 0, so its crossing lies in the apex direction and
+    the cell edge stays.  Each cell is classified by the chord length at its
+    midpoint, and adjacent qualifying cells are merged.  Lengths are
     multiplied, so they should lie well inside 1e+-150; see ``unit_base``.
 
     Raises:
@@ -126,29 +133,30 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
     if problem.threshold == 0.0:
         return AngularIntervalSet(((0.0, math.pi),))
 
-    half, height = triangle.base / 2.0, triangle.height
-    reach = problem.threshold * math.hypot(half, height)
-    # The base vertices lie at angle 0 or pi from any base point (or at the
-    # point itself), so the apex is the only vertex that adds a critical angle.
-    critical = {0.0, math.pi, math.atan2(height, -x)}
+    half, height, t = triangle.base / 2.0, triangle.height, problem.threshold
+    reach = t * math.hypot(half, height)
+    # Duplicates only make zero-width cells, which the loop below skips.
+    angles = [0.0, math.pi]
     # Side AB has outward normal (h, half)/s, side CB (-h, half)/s.
     for depth, sign in (((half - x) * height, 1.0), ((half + x) * height, -1.0)):
         if depth < reach:
-            chord = math.sqrt((reach - depth) * (reach + depth))
+            # From a base endpoint the near side has depth 0; there the square
+            # would underflow for a tiny cutoff and lose the crossing.
+            chord = reach if depth == 0.0 else math.sqrt((reach - depth) * (reach + depth))
             for along in (chord, -chord):
                 angle = math.atan2(
                     depth * half + along * height, sign * (depth * height - along * half)
                 )
                 if 0.0 < angle < math.pi:
-                    critical.add(angle)
+                    angles.append(angle)
 
-    angles = sorted(critical)
+    angles.sort()
     merged: list[list[float]] = []
     for low, high in zip(angles, angles[1:]):
         if high - low <= MIN_CELL_WIDTH:
             continue
         midpoint = 0.5 * (low + high)
-        if side_hit(triangle, x, midpoint).distance > problem.threshold:
+        if side_hit(triangle, x, midpoint).distance > t:
             if merged and merged[-1][1] == low:
                 merged[-1][1] = high
             else:
@@ -207,13 +215,16 @@ def _absorb_cusp(
     right of 0 and an anchor always exists; a far one makes the map nearly
     linear.  The map is written about the piece's end, x = end +- q*s*(2a + q*s)
     with a = sqrt(|end - c|) and q = w / (a + sqrt(a^2 + w)), so nothing cancels
-    when c is far.  x is clamped into [lo, hi] against roundoff.
+    when c is far; a cusp whose abscissa overflowed to +-inf gets the limit,
+    x = end +- w*s.  x is clamped into [lo, hi] against roundoff.
     """
     w = hi - lo
     distance, end, direction = min(
         [(lo - c, lo, 1.0) for c in cusps if c <= lo]
         + [(c - hi, hi, -1.0) for c in cusps if c >= hi]
     )
+    if distance == math.inf:
+        return lambda s: profile(min(max(end + direction * w * s, lo), hi)) * w
     a = math.sqrt(distance)
     q = w / (a + math.sqrt(distance + w))
 

@@ -129,7 +129,9 @@ def side_hit(triangle: IsoscelesTriangle, x: float, theta: float) -> RayHit:
 
     From a base endpoint, rays that do not enter the triangle meet the
     boundary at the endpoint itself: the hit degenerates to the origin with
-    distance 0 on the side containing that endpoint.
+    distance 0 on the side containing that endpoint.  On a shape flatter
+    than about height/base = 1e-307 a hit distance can underflow to 0; the
+    hit is then the origin too, on the side the ray points at.
     """
     require_on_base(triangle, x)
     if not (math.isfinite(theta) and 0.0 < theta < math.pi):
@@ -137,38 +139,42 @@ def side_hit(triangle: IsoscelesTriangle, x: float, theta: float) -> RayHit:
             f"ray angle must lie strictly inside (0, pi), got {theta}"
         )
 
-    half = triangle.base / 2.0
-    a, b, c = triangle.vertices()
+    half, height = triangle.base / 2.0, triangle.height
     dir_x, dir_y = math.cos(theta), math.sin(theta)
 
-    best: tuple[float, Side] | None = None
-    for side, e0, e1 in ((Side.AB, a, b), (Side.CB, c, b)):
-        seg_x, seg_y = e1[0] - e0[0], e1[1] - e0[1]
-        denom = dir_x * seg_y - dir_y * seg_x
-        if denom == 0.0:
-            continue  # parallel ray; the other side catches it
-        w_x, w_y = e0[0] - x, e0[1]
-        t = (w_x * seg_y - w_y * seg_x) / denom
-        u = (dir_y * w_x - dir_x * w_y) / denom
+    # Relative to (x, 0), side AB runs from (half - x, 0) by (-half, height)
+    # and side CB from (-half - x, 0) by (half, height); the ray meets a side
+    # at distance t and parameter u along it.  A parallel ray (denominator 0)
+    # misses that side, and the other side catches it.
+    distance, side = math.inf, None
+    w_x = half - x
+    denom = dir_x * height + dir_y * half
+    if denom != 0.0:
+        t = w_x * height / denom
+        u = dir_y * w_x / denom
         if t > 0.0 and -SEGMENT_SLACK <= u <= 1.0 + SEGMENT_SLACK:
-            if best is None or t < best[0]:
-                best = (t, side)
+            distance, side = t, Side.AB
+    w_x = -half - x
+    denom = dir_x * height - dir_y * half
+    if denom != 0.0:
+        t = w_x * height / denom
+        u = dir_y * w_x / denom
+        if 0.0 < t < distance and -SEGMENT_SLACK <= u <= 1.0 + SEGMENT_SLACK:
+            distance, side = t, Side.CB
 
-    if best is None:
-        # Only reachable from a base endpoint with a non-entering ray.
+    if side is None:
+        # A non-entering ray from a base endpoint, or an underflowed hit.
         if x >= half:
             return RayHit(Side.AB, (x, 0.0), 0.0)
         if x <= -half:
             return RayHit(Side.CB, (x, 0.0), 0.0)
-        raise RuntimeError(
-            f"no boundary intersection for x={x}, theta={theta}; this should be unreachable"
-        )
+        side = Side.AB if theta < math.atan2(height, -x) else Side.CB
+        return RayHit(side, (x, 0.0), 0.0)
 
-    t, side = best
-    point = (x + t * dir_x, t * dir_y)
-    if math.dist(point, b) <= APEX_TOLERANCE:
+    point = (x + distance * dir_x, distance * dir_y)
+    if math.dist(point, (0.0, height)) <= APEX_TOLERANCE:
         side = Side.APEX
-    return RayHit(side, point, t)
+    return RayHit(side, point, distance)
 
 
 def limit_angle_components(x: float) -> LimitAngleBreakdown:

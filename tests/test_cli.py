@@ -348,6 +348,25 @@ def test_extreme_scales_run_without_traceback(command, scale):
         assert doc["estimates"]["quadrature"]["p_hat"] == pytest.approx(P_EXACT, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "command, height, threshold",
+    [(("general", "--method", "quadrature"), "1e-320", "0.5"), (("density",), "1e-322", "1e-4")],
+)
+def test_extreme_shapes_run_without_error(command, height, threshold, capsys):
+    # The tangency overflows, and hit distances near the base's ends
+    # underflow; the true measure is below the smallest float everywhere.
+    argv = [*command, "--base", "1", "--height", height, "--threshold", threshold]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if command[0] == "density":
+        assert {line.split(",")[1] for line in out.strip().split("\n")[1:]} == {"0"}
+    else:
+        doc = json.loads(out)
+        assert doc["estimates"]["quadrature"]["p_hat"] == 0.0
+        assert doc["details"]["quadrature_converged"] is True
+
+
 def test_tolerance_below_roundoff_finishes_with_warning():
     # Before the roundoff stop, every piece split to the depth cap: a hang.
     flags = ("--method", "quadrature", "--base", "1e6", "--height", "1e6", "--threshold", "1e6")

@@ -236,15 +236,63 @@ def test_measure_is_accurate_at_tangencies(base, height, threshold):
     problem = ChordProblem(IsoscelesTriangle(base, height), threshold)
     tangency = base / 2.0 - threshold * math.hypot(base / 2.0, height) / height
     for center in (tangency, -tangency):
-        points = [center]
-        for direction in (-math.inf, math.inf):
-            x = center
-            for _ in range(4):
-                x = math.nextafter(x, direction)
-                points.append(x)
-        for x in points:
+        for x in _within_ulps(center, 4):
             error = abs(direction_set(problem, x).measure - _measure_50_digits(problem, x))
             assert error <= 1e-7, (x, error)
+
+
+def _within_ulps(center, count):
+    """center and the count floats on either side of it."""
+    points = [center]
+    for direction in (-math.inf, math.inf):
+        x = center
+        for _ in range(count):
+            x = math.nextafter(x, direction)
+            points.append(x)
+    return points
+
+
+# Flat, tall and middling shapes, each with the cutoff below and above the
+# height; above it the circle of radius t passes through the apex from
+# x = +-sqrt(t^2 - h^2).
+APEX_CASES = [
+    (1.0, 0.01, 0.005),
+    (1.0, 0.01, 0.3),
+    (1.0, 100.0, 50.0),
+    (1.0, 100.0, 100.001),
+    (2.5, 0.75, 0.5),
+    (2.5, 0.75, 1.1),
+]
+
+
+@pytest.mark.parametrize("base, height, threshold", APEX_CASES)
+def test_measure_is_accurate_about_the_apex_direction(base, height, threshold):
+    # The apex direction is no critical angle: the chord is continuous across
+    # it inside the base, and at the base's ends a side crossing lies on it.
+    problem = ChordProblem(IsoscelesTriangle(base, height), threshold)
+    half = base / 2.0
+    centers = [half, -half]
+    if threshold > height:
+        through_apex = math.sqrt((threshold - height) * (threshold + height))
+        assert through_apex < half
+        centers += [through_apex, -through_apex]
+    points = [x for center in centers for x in _within_ulps(center, 4) if abs(x) <= half]
+    for x in points:
+        error = abs(direction_set(problem, x).measure - _measure_50_digits(problem, x))
+        assert error <= 1e-12, (x, error)
+
+
+@pytest.mark.parametrize("threshold", [1e-100, 1e-200, 1e-300])
+def test_tiny_cutoff_keeps_the_directions_from_the_base_ends(threshold):
+    # Every ray that enters the triangle from a base end is longer than the
+    # cutoff, so the measure is the base angle.  The square of the crossing
+    # distance underflows here, and the crossing on the near side must stay.
+    triangle = IsoscelesTriangle(2.5, 0.75)
+    problem = ChordProblem(triangle, threshold)
+    for x in (1.25, -1.25):
+        assert direction_set(problem, x).measure == pytest.approx(
+            triangle.base_angle(), rel=1e-15
+        )
 
 
 def test_direction_set_rejects_off_base_points():
@@ -420,6 +468,21 @@ def test_tolerance_share_that_underflows_stays_positive():
     result = probability_general(problem, 1e-30)
     assert result.probability == pytest.approx(P_EXACT, abs=1e-10)
     assert not result.converged
+
+
+@pytest.mark.parametrize(
+    "base, height, threshold",
+    [(1.0, 1e-310, 0.3), (1.0, 1e-320, 1e-4), (1.0, 1e308, 1e300), (1.0, 1e-320, 0.5)],
+)
+def test_probability_general_when_the_tangency_overflows(base, height, threshold):
+    # base/2 - t*side/height overflows to -+inf, so the cusp map turns linear.
+    # The true probability is below 1e-299.
+    tolerance = 1e-10
+    result = probability_general(
+        ChordProblem(IsoscelesTriangle(base, height), threshold), tolerance
+    )
+    assert result.converged
+    assert 0.0 <= result.probability <= tolerance / (math.pi * base)
 
 
 def _second_moment(triangle, x):

@@ -10,6 +10,7 @@ from trichord import (
     DegenerateDirectionError,
     IsoscelesTriangle,
     OutOfBaseError,
+    RayHit,
     Side,
     limit_angle,
     limit_angle_components,
@@ -128,23 +129,46 @@ def test_side_hit_scales_linearly():
     assert hit_double.distance == pytest.approx(2.0 * hit_unit.distance, rel=1e-12)
 
 
+# Flat, tall and middling shapes besides the unit one, so that a side_hit
+# which swaps half the base and the height fails.
+SHAPES = [
+    UNIT,
+    IsoscelesTriangle(1.0, 0.01),
+    IsoscelesTriangle(1.0, 100.0),
+    IsoscelesTriangle(2.5, 0.75),
+]
+
+
 @given(
-    x=st.floats(-0.5, 0.5),
+    triangle=st.sampled_from(SHAPES),
+    share=st.floats(-1.0, 1.0),
     theta=st.floats(1e-9, math.pi - 1e-9),
 )
-def test_side_hit_point_lies_on_struck_side(x, theta):
-    hit = side_hit(UNIT, x, theta)
+def test_side_hit_point_lies_on_struck_side(triangle, share, theta):
+    half, height = triangle.base / 2.0, triangle.height
+    x = share * half
+    hit = side_hit(triangle, x, theta)
     px, py = hit.point
     if hit.side is Side.APEX:
-        assert math.dist((px, py), (0.0, 1.0)) <= 1e-12
+        assert math.dist((px, py), (0.0, height)) <= 1e-12
     elif hit.side is Side.AB:
-        assert py == pytest.approx(1.0 - 2.0 * px, abs=1e-9)
-        assert -1e-9 <= py <= 1.0 + 1e-9
+        assert py == pytest.approx(height * (half - px) / half, abs=1e-9 * height)
+        assert -1e-9 * height <= py <= (1.0 + 1e-9) * height
     else:
-        assert py == pytest.approx(1.0 + 2.0 * px, abs=1e-9)
-        assert -1e-9 <= py <= 1.0 + 1e-9
+        assert py == pytest.approx(height * (half + px) / half, abs=1e-9 * height)
+        assert -1e-9 * height <= py <= (1.0 + 1e-9) * height
     assert hit.distance >= 0.0
-    assert hit.distance == pytest.approx(math.dist((x, 0.0), (px, py)), abs=1e-12)
+    assert hit.distance == pytest.approx(
+        math.dist((x, 0.0), (px, py)), abs=1e-12 * max(1.0, height)
+    )
+
+
+@pytest.mark.parametrize("x, side", [(0.49999, Side.AB), (-0.49999, Side.CB)])
+def test_side_hit_distance_that_underflows_is_zero(x, side):
+    # 1e-5 * 1e-320 / 0.5 is below the smallest float, so the ray leaves at
+    # its origin, on the side it points at.
+    hit = side_hit(IsoscelesTriangle(1.0, 1e-320), x, math.pi / 2)
+    assert hit == RayHit(side, (x, 0.0), 0.0)
 
 
 def test_limit_angle_components_assemble():
