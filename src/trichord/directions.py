@@ -3,12 +3,15 @@
 For a base point P and cutoff t, the admissible directions form a finite
 union of open angular intervals.  Their endpoints are critical angles where
 the chord length crosses t: directions toward intersections of the circle of
-radius t about P with the side lines.  The direction toward the apex, where
-the struck side changes, is not one: from inside the base the chord length
-is continuous there, and from a base endpoint, where it jumps, the near
-side's crossing lies in that same direction.  Between consecutive critical
-angles the indicator is constant, so classifying one interior direction
-classifies the whole cell.
+radius t about P with the side lines, computed in units of t so that no
+length is squared.  Intersections on a side line beyond the apex are left
+out, since a ray toward one strikes the other side first and the chord
+beats t on neither side of it.  The direction toward the apex, where the
+struck side changes, is not one either: from inside the base the chord
+length is continuous there, and from a base endpoint, where it jumps, the
+near side's crossing lies in that same direction.  Between consecutive
+critical angles the indicator is constant, so classifying one interior
+direction classifies the whole cell.
 
 As a function of x the measure is analytic between closed-form breakpoints:
 the tangencies, where the circle of radius t about (x, 0) touches a side line
@@ -31,6 +34,10 @@ MIN_CELL_WIDTH = 1e-15
 
 # Final intervals narrower than this are dropped as numerical slivers.
 MIN_INTERVAL_WIDTH = 1e-12
+
+# Side crossings farther along the side line than this share beyond the apex
+# are dropped; the slack keeps a crossing at the apex itself.
+APEX_SLACK = 1e-9
 
 # Breakpoints closer than this share of base/2 merge into one, and those this
 # close to 0 or base/2 land there, so roundoff leaves no sliver pieces.
@@ -112,18 +119,25 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
     """Directions from (x, 0) whose chord to the boundary exceeds the cutoff.
 
     Critical angles are 0, pi and the directions where the circle of radius
-    t about (x, 0) crosses a side line.  Times the side length s, that line
-    lies at depth (half -+ x)*h and the circle has radius t*s; a crossing
-    sits sqrt(radius^2 - depth^2) along the side from the foot of the
-    perpendicular, and atan2 cancels s.  A crossing beyond the segment only
-    splits a cell.  The apex direction needs no critical angle: for
-    |x| < base/2 the chord length is continuous across it, so the indicator
-    changes only where the chord equals t, at a side crossing.  At
-    x = +-base/2 the chord jumps there from 0 to the side length, but the
-    near side has depth 0, so its crossing lies in the apex direction and
-    the cell edge stays.  Each cell is classified by the chord length at its
-    midpoint, and adjacent qualifying cells are merged.  Lengths are
-    multiplied, so they should lie well inside 1e+-150; see ``unit_base``.
+    t about (x, 0) crosses a side line, worked out in units of t: the line
+    lies at depth u = (half -+ x)*(h/s)/t, s the side length, and a crossing
+    sits c = sqrt((1 - u)(1 + u)) along it from the foot of the
+    perpendicular, in the direction atan2(u*half + c*h, +-(u*h - c*half)),
+    which does not depend on scale.  No length is squared and t divides
+    last, so nothing overflows, and only subnormal lengths lose precision.
+    A crossing on the line beyond the apex B is dropped (with a slack of
+    APEX_SLACK, so one at B stays): a ray toward it meets the other side
+    first, short of t, so it would only split a cell whose two halves
+    agree.  The apex direction needs no critical angle: for |x| < base/2
+    the chord length is continuous across it, so the indicator changes
+    only where the chord equals t, at a side crossing.  At
+    x = +-base/2 the chord jumps there from 0 to s, and the near side has
+    depth 0, so its crossing lies in the apex direction and the cell edge
+    stays; when t > s that crossing lies beyond B, and no chord near the
+    jump beats t.  Each cell is classified by the chord length at its
+    midpoint, and one pass merges adjacent qualifying cells and drops
+    intervals narrower than MIN_INTERVAL_WIDTH.  That ray cast multiplies
+    lengths, so they should lie well inside 1e+-150; see ``unit_base``.
 
     Raises:
         OutOfBaseError: x lies outside the base.
@@ -134,37 +148,44 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
         return AngularIntervalSet(((0.0, math.pi),))
 
     half, height, t = triangle.base / 2.0, triangle.height, problem.threshold
-    reach = t * math.hypot(half, height)
+    side = math.hypot(half, height)
+    sin_base, cos_base = height / side, half / side
+    apex = side * (1.0 + APEX_SLACK)
     # Duplicates only make zero-width cells, which the loop below skips.
     angles = [0.0, math.pi]
-    # Side AB has outward normal (h, half)/s, side CB (-h, half)/s.
-    for depth, sign in (((half - x) * height, 1.0), ((half + x) * height, -1.0)):
-        if depth < reach:
-            # From a base endpoint the near side has depth 0; there the square
-            # would underflow for a tiny cutoff and lose the crossing.
-            chord = reach if depth == 0.0 else math.sqrt((reach - depth) * (reach + depth))
+    # Side AB has outward normal (h, half)/s, side CB (-h, half)/s.  offset
+    # runs along the base from (x, 0) to the side's base vertex, and foot
+    # along the side from that vertex to the foot of the perpendicular.
+    for offset, sign in ((half - x, 1.0), (half + x, -1.0)):
+        depth = offset * sin_base / t
+        if depth < 1.0:
+            chord = math.sqrt((1.0 - depth) * (1.0 + depth))
+            foot = offset * cos_base
             for along in (chord, -chord):
-                angle = math.atan2(
-                    depth * half + along * height, sign * (depth * height - along * half)
-                )
-                if 0.0 < angle < math.pi:
-                    angles.append(angle)
+                if foot + along * t <= apex:
+                    angle = math.atan2(
+                        depth * half + along * height, sign * (depth * height - along * half)
+                    )
+                    if 0.0 < angle < math.pi:
+                        angles.append(angle)
 
     angles.sort()
-    merged: list[list[float]] = []
+    # Runs of adjacent qualifying cells become one interval; a run ends at a
+    # cell that fails or was skipped, and is kept if it is wide enough.  Both
+    # ends start as nan, so the first qualifying cell starts a run and no
+    # empty run is kept.
+    intervals: list[tuple[float, float]] = []
+    start = end = math.nan
     for low, high in zip(angles, angles[1:]):
-        if high - low <= MIN_CELL_WIDTH:
-            continue
-        midpoint = 0.5 * (low + high)
-        if side_hit(triangle, x, midpoint).distance > t:
-            if merged and merged[-1][1] == low:
-                merged[-1][1] = high
-            else:
-                merged.append([low, high])
-    kept = tuple(
-        (start, end) for start, end in merged if end - start >= MIN_INTERVAL_WIDTH
-    )
-    return AngularIntervalSet(kept)
+        if high - low > MIN_CELL_WIDTH and side_hit(triangle, x, 0.5 * (low + high)).distance > t:
+            if low != end:
+                if end - start >= MIN_INTERVAL_WIDTH:
+                    intervals.append((start, end))
+                start = low
+            end = high
+    if end - start >= MIN_INTERVAL_WIDTH:
+        intervals.append((start, end))
+    return AngularIntervalSet(tuple(intervals))
 
 
 def _breakpoints(problem: ChordProblem) -> tuple[list[float], list[float]]:

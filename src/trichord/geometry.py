@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DegenerateDirectionError, OutOfBaseError
 
@@ -73,12 +74,14 @@ class IsoscelesTriangle:
 UNIT_TRIANGLE = IsoscelesTriangle()
 
 
-@dataclass(frozen=True)
-class RayHit:
+class RayHit(NamedTuple):
     """Where an upward ray first meets the upper boundary.
 
     ``distance`` is the chord length from the base point to ``point``; ``side``
-    tells which side was struck, or APEX when the hit lands on the apex.
+    tells which side was struck, or APEX when the hit lands on the apex.  A
+    NamedTuple, so it is immutable and unpacks, indexes and compares equal
+    like the plain tuple (side, point, distance); it builds faster than a
+    frozen dataclass, and ``direction_set`` builds one per cell.
     """
 
     side: Side
@@ -106,7 +109,7 @@ class LimitAngleBreakdown:
 def require_on_base(triangle: IsoscelesTriangle, x: float) -> None:
     """Raise OutOfBaseError unless x lies on the closed base interval."""
     half = triangle.base / 2.0
-    if not (math.isfinite(x) and -half <= x <= half):
+    if not -half <= x <= half:
         raise OutOfBaseError(f"x={x} lies outside the base [{-half}, {half}]")
 
 
@@ -133,30 +136,33 @@ def side_hit(triangle: IsoscelesTriangle, x: float, theta: float) -> RayHit:
     than about height/base = 1e-307 a hit distance can underflow to 0; the
     hit is then the origin too, on the side the ray points at.
     """
-    require_on_base(triangle, x)
-    if not (math.isfinite(theta) and 0.0 < theta < math.pi):
+    half, height = triangle.base / 2.0, triangle.height
+    # half is finite, so each chained comparison also rejects nan and +-inf.
+    if not -half <= x <= half:
+        raise OutOfBaseError(f"x={x} lies outside the base [{-half}, {half}]")
+    if not 0.0 < theta < math.pi:
         raise DegenerateDirectionError(
             f"ray angle must lie strictly inside (0, pi), got {theta}"
         )
 
-    half, height = triangle.base / 2.0, triangle.height
     dir_x, dir_y = math.cos(theta), math.sin(theta)
 
     # Relative to (x, 0), side AB runs from (half - x, 0) by (-half, height)
     # and side CB from (-half - x, 0) by (half, height); the ray meets a side
-    # at distance t and parameter u along it.  A parallel ray (denominator 0)
-    # misses that side, and the other side catches it.
+    # at distance t and parameter u along it.  half - x >= 0 >= -half - x, so
+    # only a positive denominator for AB, or a negative one for CB, gives
+    # t > 0; otherwise, as for a parallel ray, the other side catches it.
     distance, side = math.inf, None
     w_x = half - x
     denom = dir_x * height + dir_y * half
-    if denom != 0.0:
+    if denom > 0.0:
         t = w_x * height / denom
         u = dir_y * w_x / denom
         if t > 0.0 and -SEGMENT_SLACK <= u <= 1.0 + SEGMENT_SLACK:
             distance, side = t, Side.AB
     w_x = -half - x
     denom = dir_x * height - dir_y * half
-    if denom != 0.0:
+    if denom < 0.0:
         t = w_x * height / denom
         u = dir_y * w_x / denom
         if 0.0 < t < distance and -SEGMENT_SLACK <= u <= 1.0 + SEGMENT_SLACK:
@@ -171,10 +177,13 @@ def side_hit(triangle: IsoscelesTriangle, x: float, theta: float) -> RayHit:
         side = Side.AB if theta < math.atan2(height, -x) else Side.CB
         return RayHit(side, (x, 0.0), 0.0)
 
-    point = (x + distance * dir_x, distance * dir_y)
-    if math.dist(point, (0.0, height)) <= APEX_TOLERANCE:
+    point_x = x + distance * dir_x
+    point = (point_x, distance * dir_y)
+    # The distance to the apex is at least |point_x|, so most hits skip it.
+    if abs(point_x) <= APEX_TOLERANCE and math.dist(point, (0.0, height)) <= APEX_TOLERANCE:
         side = Side.APEX
-    return RayHit(side, point, distance)
+    # tuple.__new__ builds the same RayHit without the Python-level __new__.
+    return tuple.__new__(RayHit, (side, point, distance))
 
 
 def limit_angle_components(x: float) -> LimitAngleBreakdown:

@@ -191,8 +191,8 @@ def test_boundary_rays_hit_at_threshold_distance(base, height, threshold):
     assert checked > 50
 
 
-def _measure_50_digits(problem, x):
-    """Direction-set measure at 50 digits: pi minus the arcs outside the sides.
+def _arc_measure(half, height, t, x):
+    """Direction-set measure in mpmath: pi minus the arcs outside the sides.
 
     The point at distance t along a ray leaves the triangle exactly when it
     crosses a side line, which happens within acos(d/t) of that side's
@@ -200,22 +200,44 @@ def _measure_50_digits(problem, x):
     """
     import mpmath
 
+    side = mpmath.hypot(half, height)
+    normal = mpmath.atan2(half, height)  # outward normal of AB
+    arcs = []
+    for depth, center in ((half - x, normal), (half + x, mpmath.pi - normal)):
+        distance = depth * height / side
+        if distance < t:
+            width = mpmath.acos(distance / t)
+            arcs.append((max(0, center - width), min(mpmath.pi, center + width)))
+    covered = sum(end - start for start, end in arcs)
+    if len(arcs) == 2:
+        (a0, a1), (b0, b1) = arcs
+        covered -= max(0, min(a1, b1) - max(a0, b0))
+    return mpmath.pi - covered
+
+
+def _measure_50_digits(problem, x):
+    """The arc model's measure at 50 digits, rounded to a float."""
+    import mpmath
+
     with mpmath.workdps(50):
         half = mpmath.mpf(problem.triangle.base) / 2
         height, t = mpmath.mpf(problem.triangle.height), mpmath.mpf(problem.threshold)
-        side = mpmath.hypot(half, height)
-        normal = mpmath.atan2(half, height)  # outward normal of AB
-        arcs = []
-        for depth, center in ((half - x, normal), (half + x, mpmath.pi - normal)):
-            distance = depth * height / side
-            if distance < t:
-                width = mpmath.acos(distance / t)
-                arcs.append((max(0, center - width), min(mpmath.pi, center + width)))
-        covered = sum(end - start for start, end in arcs)
-        if len(arcs) == 2:
-            (a0, a1), (b0, b1) = arcs
-            covered -= max(0, min(a1, b1) - max(a0, b0))
-        return float(mpmath.pi - covered)
+        return float(_arc_measure(half, height, t, x))
+
+
+def _probability_50_digits(problem):
+    """The arc model integrated over the base by mpmath, split at its breakpoints."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        half = mpmath.mpf(problem.triangle.base) / 2
+        height, t = mpmath.mpf(problem.triangle.height), mpmath.mpf(problem.threshold)
+        breaks = [abs(half - t * mpmath.hypot(half, height) / height), half - t]
+        if t > height:
+            breaks.append(mpmath.sqrt(t * t - height * height))
+        edges = [0, *sorted(b for b in breaks if 0 < b < half), half]
+        integral = mpmath.quad(lambda x: _arc_measure(half, height, t, x), edges)
+        return float(integral / (mpmath.pi * half))
 
 
 # Cutoffs whose tangency x = +-(base/2 - t*side/height) lies at a tenth, half
@@ -269,9 +291,12 @@ APEX_CASES = [
 def test_measure_is_accurate_about_the_apex_direction(base, height, threshold):
     # The apex direction is no critical angle: the chord is continuous across
     # it inside the base, and at the base's ends a side crossing lies on it.
+    # From x = 0 and +-base/4, where the cutoff of every shape with t above
+    # the height exceeds the distance to the apex, a side line's crossing
+    # toward the apex lies beyond it and is dropped.
     problem = ChordProblem(IsoscelesTriangle(base, height), threshold)
     half = base / 2.0
-    centers = [half, -half]
+    centers = [half, -half, 0.0, half / 2.0, -half / 2.0]
     if threshold > height:
         through_apex = math.sqrt((threshold - height) * (threshold + height))
         assert through_apex < half
@@ -483,6 +508,29 @@ def test_probability_general_when_the_tangency_overflows(base, height, threshold
     )
     assert result.converged
     assert 0.0 <= result.probability <= tolerance / (math.pi * base)
+
+
+@pytest.mark.parametrize(
+    "base, height, threshold",
+    [
+        (1.0, 8.67e305, 8.67e5),
+        (1.0, 8.45e-301, 1e-300),
+        (1.0, 1e-200, 3e-201),
+        (1.0, 1e-310, 3e-311),
+    ],
+)
+def test_probability_general_at_extreme_ratios(base, height, threshold):
+    # t times the side length overflows at the first shape, and the square of
+    # the distance from a base point to a side line underflows at the others.
+    # direction_set works in units of t and loses no side crossing; at the
+    # last shape the distance along the base over t overflows, so it divides
+    # by t last.
+    problem = ChordProblem(IsoscelesTriangle(base, height), threshold)
+    tolerance = 1e-10
+    result = probability_general(problem, tolerance)
+    assert result.converged
+    error = abs(result.probability - _probability_50_digits(problem))
+    assert error <= tolerance / (math.pi * base), error
 
 
 def _second_moment(triangle, x):

@@ -171,6 +171,13 @@ def test_side_hit_distance_that_underflows_is_zero(x, side):
     assert hit == RayHit(side, (x, 0.0), 0.0)
 
 
+def test_ray_hit_is_an_immutable_named_tuple():
+    hit = side_hit(UNIT, 0.25, math.pi / 2)
+    assert RayHit._fields == ("side", "point", "distance")
+    with pytest.raises(AttributeError):
+        hit.distance = 1.0
+
+
 def test_limit_angle_components_assemble():
     comp = limit_angle_components(0.3)
     assert comp.base_angle_a == comp.base_angle_c == math.atan(2.0)
