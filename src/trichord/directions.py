@@ -97,9 +97,11 @@ class ChordProblem:
 def unit_base(problem: ChordProblem) -> ChordProblem:
     """The same problem scaled to base 1.
 
-    Direction sets depend on the shape only, and the scaled lengths square
-    without overflow or underflow, so callers that evaluate many direction
-    sets scale once and pass x / base.
+    Direction sets depend on the shape only, so callers that evaluate many
+    of them scale once and pass x / base.  Scaling keeps the bits of
+    subnormal lengths, which direction sets at base 1 then work with in
+    full precision; it lets Monte Carlo draw its points at base 1; and it
+    makes the quadrature take the same decisions at every scale.
     """
     triangle = problem.triangle
     height = triangle.height / triangle.base
@@ -136,8 +138,7 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
     stays; when t > s that crossing lies beyond B, and no chord near the
     jump beats t.  Each cell is classified by the chord length at its
     midpoint, and one pass merges adjacent qualifying cells and drops
-    intervals narrower than MIN_INTERVAL_WIDTH.  That ray cast multiplies
-    lengths, so they should lie well inside 1e+-150; see ``unit_base``.
+    intervals narrower than MIN_INTERVAL_WIDTH.
 
     Raises:
         OutOfBaseError: x lies outside the base.
@@ -267,7 +268,12 @@ def probability_general(problem: ChordProblem, tolerance: float = 1e-10) -> Quad
     piece gets tolerance / (2 * pieces), so the error bound of the integral
     across the whole base stays ``tolerance``; ``evaluations`` sums the
     pieces and ``converged`` holds when every piece converged.
+
+    Raises:
+        ValueError: tolerance is not positive and finite.
     """
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
     base = problem.triangle.base
     unit = unit_base(problem)
     edges, cusps = _breakpoints(unit)

@@ -23,13 +23,9 @@ from .errors import DegenerateDirectionError, OutOfBaseError
 
 SQRT5 = math.sqrt(5.0)
 
-# Distance from the apex below which a hit is labeled APEX.  Affects the side
-# label only, never the returned point or distance.
+# Share of the height within which a hit is labeled APEX, and by which a hit
+# may overshoot the apex, so that hits on a vertex survive roundoff.
 APEX_TOLERANCE = 1e-12
-
-# Slack accepted at segment ends when testing the intersection parameter, so
-# hits that land on a vertex survive roundoff.
-SEGMENT_SLACK = 1e-12
 
 Point = tuple[float, float]
 
@@ -123,18 +119,19 @@ def side_hit(triangle: IsoscelesTriangle, x: float, theta: float) -> RayHit:
 
     Returns:
         RayHit naming the struck side (AB toward vertex A, CB toward vertex C,
-        or APEX within ``APEX_TOLERANCE`` of the apex), the hit point, and the
-        chord length.
+        or APEX for a hit less than ``APEX_TOLERANCE`` times the height below
+        the apex), the hit point, and the chord length.
 
     Raises:
         OutOfBaseError: x lies outside the base.
         DegenerateDirectionError: theta falls outside the open interval (0, pi).
 
-    From a base endpoint, rays that do not enter the triangle meet the
-    boundary at the endpoint itself: the hit degenerates to the origin with
-    distance 0 on the side containing that endpoint.  On a shape flatter
-    than about height/base = 1e-307 a hit distance can underflow to 0; the
-    hit is then the origin too, on the side the ray points at.
+    No two lengths are multiplied, so the hit scales with the triangle at any
+    float scale.  From a base endpoint, rays that do not enter the triangle
+    meet the boundary at the endpoint itself: the hit degenerates to the
+    origin with distance 0 on the side containing that endpoint.  On a shape
+    flatter than about height/base = 1e-307 a hit distance can underflow to
+    0; the hit is then the origin too, on the side the ray points at.
     """
     half, height = triangle.base / 2.0, triangle.height
     # half is finite, so each chained comparison also rejects nan and +-inf.
@@ -149,38 +146,31 @@ def side_hit(triangle: IsoscelesTriangle, x: float, theta: float) -> RayHit:
 
     # Relative to (x, 0), side AB runs from (half - x, 0) by (-half, height)
     # and side CB from (-half - x, 0) by (half, height); the ray meets a side
-    # at distance t and parameter u along it.  half - x >= 0 >= -half - x, so
-    # only a positive denominator for AB, or a negative one for CB, gives
-    # t > 0; otherwise, as for a parallel ray, the other side catches it.
+    # line at distance t and height t * dir_y, and strikes the side unless
+    # that height is above the apex.  half - x >= 0 >= -half - x, so only a
+    # positive denominator for AB, or a negative one for CB, gives t > 0;
+    # otherwise, as for a parallel ray, the other side catches it.
     distance, side = math.inf, None
-    w_x = half - x
+    top = height * (1.0 + APEX_TOLERANCE)
     denom = dir_x * height + dir_y * half
     if denom > 0.0:
-        t = w_x * height / denom
-        u = dir_y * w_x / denom
-        if t > 0.0 and -SEGMENT_SLACK <= u <= 1.0 + SEGMENT_SLACK:
+        t = (half - x) * (height / denom)
+        if t > 0.0 and t * dir_y <= top:
             distance, side = t, Side.AB
-    w_x = -half - x
     denom = dir_x * height - dir_y * half
     if denom < 0.0:
-        t = w_x * height / denom
-        u = dir_y * w_x / denom
-        if 0.0 < t < distance and -SEGMENT_SLACK <= u <= 1.0 + SEGMENT_SLACK:
+        t = (-half - x) * (height / denom)
+        if 0.0 < t < distance and t * dir_y <= top:
             distance, side = t, Side.CB
 
     if side is None:
-        # A non-entering ray from a base endpoint, or an underflowed hit.
-        if x >= half:
-            return RayHit(Side.AB, (x, 0.0), 0.0)
-        if x <= -half:
-            return RayHit(Side.CB, (x, 0.0), 0.0)
+        # A non-entering ray from a base endpoint, or an underflowed hit:
+        # from A such a ray lies below side AB, from C above side CB.
         side = Side.AB if theta < math.atan2(height, -x) else Side.CB
         return RayHit(side, (x, 0.0), 0.0)
 
-    point_x = x + distance * dir_x
-    point = (point_x, distance * dir_y)
-    # The distance to the apex is at least |point_x|, so most hits skip it.
-    if abs(point_x) <= APEX_TOLERANCE and math.dist(point, (0.0, height)) <= APEX_TOLERANCE:
+    point = (x + distance * dir_x, distance * dir_y)
+    if point[1] >= height * (1.0 - APEX_TOLERANCE):
         side = Side.APEX
     # tuple.__new__ builds the same RayHit without the Python-level __new__.
     return tuple.__new__(RayHit, (side, point, distance))

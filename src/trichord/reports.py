@@ -302,5 +302,9 @@ def density_profile(problem: ChordProblem, points: int) -> DensityProfile:
         rows = tuple((x, limit_angle(x)) for x in xs)
     else:
         unit = unit_base(problem)
-        rows = tuple((x, direction_set(unit, x / base).measure) for x in xs)
+        # At a subnormal base, +-base/2 rounds, so x / base can land just
+        # past +-1/2; clamp it back onto the base.
+        rows = tuple(
+            (x, direction_set(unit, min(max(x / base, -0.5), 0.5)).measure) for x in xs
+        )
     return DensityProfile(rows)

@@ -462,13 +462,17 @@ def test_readme_example_converges_within_budget():
     assert result.evaluations < 2000
 
 
-@pytest.mark.parametrize("shape", [(1.0, 1.0, 1.0), (2.0, 1.5, 0.8)])
+@pytest.mark.parametrize(
+    "shape", [(1.0, 1.0, 1.0), (2.0, 1.5, 0.8), (1.0, 0.3, 0.9), (1.0, 20.0, 5.0)]
+)
 def test_probability_is_scale_invariant_at_extreme_scales(shape):
     base, height, threshold = shape
-    unit = probability_general(
-        ChordProblem(IsoscelesTriangle(base, height), threshold), 1e-12
-    ).probability
-    for scale in (1e-300, 1e-100, 1e100, 1e300):
+    unit_problem = ChordProblem(IsoscelesTriangle(base, height), threshold)
+    unit = probability_general(unit_problem, 1e-12).probability
+    # The ends, the centre and one interior point of the base.
+    xs = (-base / 2.0, 0.0, 0.3 * base, base / 2.0)
+    measures = [direction_set(unit_problem, x).measure for x in xs]
+    for scale in (1e-300, 1e-200, 1e-155, 1e-100, 1e100, 1e155, 1e200, 1e300):
         problem = ChordProblem(
             IsoscelesTriangle(base * scale, height * scale), threshold * scale
         )
@@ -476,6 +480,11 @@ def test_probability_is_scale_invariant_at_extreme_scales(shape):
         assert result.converged
         assert result.probability == pytest.approx(unit, abs=1e-15)
         assert result.integral == pytest.approx(unit * math.pi * base * scale, rel=1e-14)
+        # Direction sets of the scaled problem itself, with no scaling to base 1.
+        for x, measure in zip(xs, measures):
+            assert direction_set(problem, x * scale).measure == pytest.approx(
+                measure, abs=1e-14
+            )
 
 
 def test_tolerance_below_roundoff_at_large_scale_finishes():
@@ -485,6 +494,13 @@ def test_tolerance_below_roundoff_at_large_scale_finishes():
     assert result.probability == pytest.approx(P_EXACT, abs=1e-10)
     assert result.evaluations < 10**4
     assert not result.converged
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
+def test_probability_general_rejects_a_tolerance_that_is_not_positive(tolerance):
+    problem = ChordProblem(IsoscelesTriangle(2.0, 1.5), 0.8)
+    with pytest.raises(ValueError, match=f"tolerance must be positive, got {tolerance}"):
+        probability_general(problem, tolerance)
 
 
 def test_tolerance_share_that_underflows_stays_positive():

@@ -122,11 +122,15 @@ def test_side_hit_from_endpoint_across_to_far_side():
     assert hit.distance == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, abs=1e-12)
 
 
-def test_side_hit_scales_linearly():
+# A product of two lengths overflows from 1e155 and loses bits below 1e-154.
+# The distance is compared in units of the scale, where approx's absolute
+# tolerance cannot hide a tiny one.
+@pytest.mark.parametrize("scale", [2.0, 1e155, 1e300, 1e-160, 1e-300])
+def test_side_hit_scales_linearly(scale):
     hit_unit = side_hit(UNIT, 0.25, 1.1)
-    hit_double = side_hit(IsoscelesTriangle(2.0, 2.0), 0.5, 1.1)
-    assert hit_double.side is hit_unit.side
-    assert hit_double.distance == pytest.approx(2.0 * hit_unit.distance, rel=1e-12)
+    hit_scaled = side_hit(IsoscelesTriangle(scale, scale), 0.25 * scale, 1.1)
+    assert hit_scaled.side is hit_unit.side
+    assert hit_scaled.distance / scale == pytest.approx(hit_unit.distance, rel=1e-12)
 
 
 # Flat, tall and middling shapes besides the unit one, so that a side_hit
