@@ -1,9 +1,9 @@
 """Command line front end.
 
 Subcommands: exact, density, integrate, simulate, general, verify.  All
-accept a JSON config file plus flags that override it; results go to stdout
-or --out.  Exit codes: 0 success, 2 invalid configuration, 3 verification
-failure.
+accept a JSON config file plus flags that override it, both checked by
+config_from_sources; results go to stdout or --out.  Exit codes: 0 success,
+2 invalid input or usage (one stderr line), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, NoReturn, TypeVar
 
 from . import __version__
 from .directions import ChordProblem, is_unit_configuration, probability_general
@@ -30,6 +30,7 @@ from .reports import (
     Agreement,
     ExperimentConfig,
     ExperimentReport,
+    _as_float,
     config_from_sources,
     density_profile,
 )
@@ -43,55 +44,41 @@ SIGMA_MULTIPLE = 4.0
 T = TypeVar("T")
 
 
+# Each config flag by the ExperimentConfig field (or base, height) it sets: its
+# name and help.  No flag converts its value; config_from_sources converts and
+# checks the strings exactly as it does config-file values.
+_CONFIG_FLAGS = {
+    "base": ("--base", "triangle base length"),
+    "height": ("--height", "triangle height"),
+    "threshold": ("--threshold", "chord length cutoff"),
+    "method": ("--method", f"which estimators a combined command runs: {', '.join(METHODS)}"),
+    "samples": ("--samples", "Monte Carlo sample count"),
+    "seed": ("--seed", "Monte Carlo root seed"),
+    "tolerance": ("--tol", "quadrature error target"),
+    "density_points": ("--points", "grid size for density output"),
+    "output_format": ("--format", f"report format: {', '.join(FORMATS)}; density is always CSV"),
+    "output_path": ("--out", "write output to this file instead of stdout"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one stderr line, like any other invalid input."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"trichord: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # Each dest is an ExperimentConfig field name (or base/height), so the
-    # parsed namespace is the override map; defaults live in the dataclass.
     defaults = ExperimentConfig()
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, help="JSON config file; flags override it")
-    common.add_argument(
-        "--base", type=float, help=f"triangle base length (default {defaults.triangle.base:g})"
-    )
-    common.add_argument(
-        "--height", type=float, help=f"triangle height (default {defaults.triangle.height:g})"
-    )
-    common.add_argument(
-        "--threshold", type=float, help=f"chord length cutoff (default {defaults.threshold:g})"
-    )
-    common.add_argument(
-        "--method",
-        choices=METHODS,
-        help=f"which estimators a combined command runs (default {defaults.method})",
-    )
-    common.add_argument(
-        "--samples", type=int, help=f"Monte Carlo sample count (default {defaults.samples})"
-    )
-    common.add_argument(
-        "--seed", type=int, help=f"Monte Carlo root seed (default {defaults.seed})"
-    )
-    common.add_argument(
-        "--tol",
-        type=float,
-        dest="tolerance",
-        help=f"quadrature error target (default {defaults.tolerance:g})",
-    )
-    common.add_argument(
-        "--points",
-        type=int,
-        dest="density_points",
-        help=f"grid size for density output (default {defaults.density_points})",
-    )
-    common.add_argument(
-        "--format",
-        choices=FORMATS,
-        dest="output_format",
-        help=f"report format (default {defaults.output_format}; density always emits CSV)",
-    )
-    common.add_argument(
-        "--out", dest="output_path", help="write output to this file instead of stdout"
-    )
+    common.add_argument("--config", help="JSON config file; flags override it")
+    for name, (flag, help_text) in _CONFIG_FLAGS.items():
+        default = getattr(defaults.triangle if name in ("base", "height") else defaults, name)
+        if default is not None:
+            help_text += f" (default {default})"
+        common.add_argument(flag, dest=name, help=help_text)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trichord",
         description=(
             "Probability that a chord from a uniform base point of an isosceles "
@@ -105,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "verify":
             command.add_argument(
                 "--perturb",
-                type=float,
                 default=0.0,
                 help="test hook: bias added to the quadrature probability before the gate",
             )
@@ -259,13 +245,14 @@ def cmd_general(config: ExperimentConfig, args: argparse.Namespace) -> tuple[int
 
 def cmd_verify(config: ExperimentConfig, args: argparse.Namespace) -> tuple[int, str]:
     _require_unit_configuration(config)
-    if not math.isfinite(args.perturb):
-        raise ValueError(f"perturb must be a finite number, got {args.perturb}")
+    perturb = _as_float("perturb", args.perturb)
+    if not math.isfinite(perturb):
+        raise ValueError(f"perturb must be a finite number, got {perturb}")
     timing: dict[str, float] = {}
     exact_p = _timed(timing, "exact", probability_golden_ratio_form)
     quad = _timed(timing, "quadrature", probability_by_quadrature, config.tolerance)
     mc = _timed(timing, "montecarlo", estimate, _problem(config), config.samples, config.seed)
-    quad_p = quad.probability + args.perturb
+    quad_p = quad.probability + perturb
     sigma = math.sqrt(exact_p * (1.0 - exact_p) / config.samples)
     allowance = SIGMA_MULTIPLE * sigma
     quadrature_error = abs(quad_p - exact_p)

@@ -108,11 +108,16 @@ def _is_int(value: Any) -> bool:
 
 
 def _as_int(name: str, value: Any) -> int:
-    # JSON files may carry integers written as 1e6; accept exact ones.
+    # JSON files may carry integers written as 1e6, flags carry text; accept exact ones.
     if _is_int(value):
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -140,9 +145,9 @@ def config_from_sources(
 
     ``overrides`` is keyed by ``ExperimentConfig`` field name, with ``base``
     and ``height`` in place of ``triangle``; entries set to None and other
-    keys are ignored.  Each value is coerced to the type of its default, except
-    that string fields must already be strings.
-    Unknown file keys are rejected.
+    keys are ignored.  Flag values arrive as strings and are converted and
+    checked like file values, to the type of each field's default; string
+    fields take only strings.  Unknown file keys are rejected.
     """
     data = dict(file_data or {})
     names = [f.name for f in fields(ExperimentConfig)]

@@ -286,6 +286,49 @@ def test_invalid_values_exit_2():
     assert run_cli("general", "--base", "-1").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["simulate", "--samples", "abc"], "samples must be an integer, got 'abc'"),
+        (["general", "--base", "x"], "base must be a number, got 'x'"),
+        (["integrate", "--tol", "x"], "tolerance must be a number, got 'x'"),
+        (["density", "--points", "2.5"], "density_points must be an integer, got '2.5'"),
+        (
+            ["general", "--method", "bogus"],
+            "method must be one of ('exact', 'quadrature', 'montecarlo', 'all'), got 'bogus'",
+        ),
+        (["exact", "--format", "xml"], "output_format must be one of ('json', 'csv'), got 'xml'"),
+        (["verify", "--perturb", "zz"], "perturb must be a number, got 'zz'"),
+        (["exact", "--bogus"], "unrecognized arguments: --bogus"),
+        (["simulate", "--samples"], "argument --samples: expected one argument"),
+        ([], "the following arguments are required: command"),
+        (
+            ["bogus"],
+            "argument command: invalid choice: 'bogus' (choose from 'exact', 'density', "
+            "'integrate', 'simulate', 'general', 'verify')",
+        ),
+    ],
+    ids=[
+        "samples", "base", "tol", "points", "method", "format", "perturb",
+        "unknown-flag", "missing-value", "no-command", "unknown-command",
+    ],
+)
+def test_invalid_input_is_one_line_naming_the_problem(argv, expected):
+    # Flag values go through the config-file checks, and argparse's own usage
+    # errors print one line too, not a usage block.
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"trichord: {expected}"]
+
+
+def test_help_exits_0():
+    proc = run_cli("verify", "--help")
+    assert proc.returncode == 0
+    text = " ".join(proc.stdout.split())  # argparse wraps help lines
+    assert "--perturb" in text and "exact, quadrature, montecarlo, all (default all)" in text
+
+
 def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0

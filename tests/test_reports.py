@@ -123,6 +123,13 @@ def test_config_accepts_exact_float_integers():
         config_from_sources({"samples": 10.5}, {})
 
 
+def test_config_accepts_decimal_integer_strings():
+    # Flag values reach config_from_sources as text, so file values may too.
+    assert config_from_sources({"samples": "100"}, {}).samples == 100
+    with pytest.raises(ValueError, match=r"^samples must be an integer, got '10\.5'$"):
+        config_from_sources({"samples": "10.5"}, {})
+
+
 @pytest.mark.parametrize(
     "file_data, field_name",
     [
