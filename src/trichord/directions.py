@@ -122,11 +122,16 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
 
     Critical angles are 0, pi and the directions where the circle of radius
     t about (x, 0) crosses a side line, worked out in units of t: the line
-    lies at depth u = (half -+ x)*(h/s)/t, s the side length, and a crossing
-    sits c = sqrt((1 - u)(1 + u)) along it from the foot of the
-    perpendicular, in the direction atan2(u*half + c*h, +-(u*h - c*half)),
-    which does not depend on scale.  No length is squared and t divides
-    last, so nothing overflows, and only subnormal lengths lose precision.
+    lies at depth u = offset / reach, where offset = half -+ x runs along
+    the base to the side's base vertex and reach = t / (h/s), s the side
+    length, is the offset below which the side line lies closer than t.  A
+    crossing sits c = sqrt((1 - u)(1 + u)) along the line from the foot of
+    the perpendicular, in the direction atan2(u*half + c*h, +-(u*h - c*half)),
+    which does not depend on scale.  No length is squared and no two
+    lengths are multiplied, so nothing overflows, and at base 1, where a
+    flat shape's side is exactly 1/2, subnormal heights and cutoffs keep
+    their bits.  An offset of 0 gives depth 0, and a depth that overflows
+    means no crossing.
     A crossing on the line beyond the apex B is dropped (with a slack of
     APEX_SLACK, so one at B stays): a ray toward it meets the other side
     first, short of t, so it would only split a cell whose two halves
@@ -150,7 +155,7 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
 
     half, height, t = triangle.base / 2.0, triangle.height, problem.threshold
     side = math.hypot(half, height)
-    sin_base, cos_base = height / side, half / side
+    reach, cos_base = t / (height / side), half / side
     apex = side * (1.0 + APEX_SLACK)
     # Duplicates only make zero-width cells, which the loop below skips.
     angles = [0.0, math.pi]
@@ -158,7 +163,7 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
     # runs along the base from (x, 0) to the side's base vertex, and foot
     # along the side from that vertex to the foot of the perpendicular.
     for offset, sign in ((half - x, 1.0), (half + x, -1.0)):
-        depth = offset * sin_base / t
+        depth = offset / reach
         if depth < 1.0:
             chord = math.sqrt((1.0 - depth) * (1.0 + depth))
             foot = offset * cos_base
@@ -192,11 +197,12 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
 def _breakpoints(problem: ChordProblem) -> tuple[list[float], list[float]]:
     """Piece edges of the measure on [0, base/2], and the abscissas of its cusps.
 
-    The tangencies x = +-(base/2 - t*side/height) are square-root cusps, and
-    are returned wherever they lie; the vertex distances x = +-(base/2 - t)
-    and, for t > height, the apex distance x = sqrt(t^2 - height^2) are
-    kinks.  Edges run from 0 to base/2, at least BREAKPOINT_SNAP * base/2
-    apart; a breakpoint that close to 0, base/2 or a tangency lands there.
+    The tangencies x = +-(base/2 - reach), with reach = t / (height/side) as
+    in ``direction_set``, are square-root cusps, and are returned wherever
+    they lie; the vertex distances x = +-(base/2 - t) and, for t > height,
+    the apex distance x = sqrt(t^2 - height^2) are kinks.  Edges run from 0
+    to base/2, at least BREAKPOINT_SNAP * base/2 apart; a breakpoint that
+    close to 0, base/2 or a tangency lands there.
     """
     triangle, t = problem.triangle, problem.threshold
     half, height = triangle.base / 2.0, triangle.height
@@ -207,8 +213,8 @@ def _breakpoints(problem: ChordProblem) -> tuple[list[float], list[float]]:
             return 0.0
         return half if abs(x - half) <= snap else x
 
-    tangency = half - t * math.hypot(half, height) / height
-    cusps = [snapped(tangency), snapped(-tangency)]
+    reach = t / (height / math.hypot(half, height))
+    cusps = [snapped(half - reach), snapped(reach - half)]
     kinks = [half - t, t - half]
     if t > height:
         kinks.append(math.sqrt(t * t - height * height))
@@ -226,17 +232,17 @@ def _breakpoints(problem: ChordProblem) -> tuple[list[float], list[float]]:
 
 
 def _absorb_cusp(
-    profile: Callable[[float], float], lo: float, hi: float, cusps: list[float]
+    unit: ChordProblem, lo: float, hi: float, cusps: list[float]
 ) -> Callable[[float], float]:
-    """Integrand over s in [0, 1] whose integral equals that of ``profile`` on [lo, hi].
+    """Integrand on s in [0, 1] integrating the direction-set measure over [lo, hi].
 
     Substitutes x = c +- v^2 about the cusp c nearest to the piece, with v
     linear in s, so a square-root cusp at c becomes smooth in s whether c is
     the piece's end (x = lo + w*s^2 or x = hi - w*s^2) or lies just beyond it.
-    The cusps sit at +-(base/2 - t*side/height), so one of them is never
-    right of 0 and an anchor always exists; a far one makes the map nearly
-    linear.  The map is written about the piece's end, x = end +- q*s*(2a + q*s)
-    with a = sqrt(|end - c|) and q = w / (a + sqrt(a^2 + w)), so nothing cancels
+    The cusps sit at +-(base/2 - reach), so one of them is never right of 0
+    and an anchor always exists; a far one makes the map nearly linear.  The
+    map is written about the piece's end, x = end +- q*s*(2a + q*s) with
+    a = sqrt(|end - c|) and q = w / (a + sqrt(a^2 + w)), so nothing cancels
     when c is far; a cusp whose abscissa overflowed to +-inf gets the limit,
     x = end +- w*s.  x is clamped into [lo, hi] against roundoff.
     """
@@ -246,13 +252,13 @@ def _absorb_cusp(
         + [(c - hi, hi, -1.0) for c in cusps if c >= hi]
     )
     if distance == math.inf:
-        return lambda s: profile(min(max(end + direction * w * s, lo), hi)) * w
+        return lambda s: direction_set(unit, min(max(end + direction * w * s, lo), hi)).measure * w
     a = math.sqrt(distance)
     q = w / (a + math.sqrt(distance + w))
 
     def integrand(s: float) -> float:
         x = end + direction * q * s * (2.0 * a + q * s)
-        return profile(min(max(x, lo), hi)) * 2.0 * q * (a + q * s)
+        return direction_set(unit, min(max(x, lo), hi)).measure * 2.0 * q * (a + q * s)
 
     return integrand
 
@@ -279,12 +285,8 @@ def probability_general(problem: ChordProblem, tolerance: float = 1e-10) -> Quad
     edges, cusps = _breakpoints(unit)
     # A share below the smallest float is roundoff anyway; keep it positive.
     share = max(tolerance / base / (2.0 * (len(edges) - 1)), math.ulp(0.0))
-
-    def measure(x: float) -> float:
-        return direction_set(unit, x).measure
-
     pieces = [
-        integrate_profile(_absorb_cusp(measure, lo, hi, cusps), 0.0, 1.0, share)
+        integrate_profile(_absorb_cusp(unit, lo, hi, cusps), 0.0, 1.0, share)
         for lo, hi in zip(edges, edges[1:])
     ]
     unit_integral = 2.0 * math.fsum(piece.integral for piece in pieces)

@@ -56,7 +56,7 @@ def _successes(
     threshold: float,
     xs: np.ndarray,
     half_thetas: np.ndarray,
-    scratch: _Scratch | None = None,
+    scratch: _Scratch,
 ) -> np.ndarray:
     """Which rays from base points xs at angles 2*half_thetas have a chord longer than threshold.
 
@@ -65,12 +65,10 @@ def _successes(
     s*cos = 2 - s and s*sin = 2u, times s/h: |(x - t)*s + 2t| + (2*half*t/h)*u < half*s.
 
     half_thetas is overwritten.  The result is a view of ``scratch`` (two
-    float arrays and one bool array at least as long as xs), which is
-    allocated when absent.
+    float arrays and one bool array at least as long as xs, as
+    ``_kernel_scratch`` makes).
     """
     size = len(half_thetas)
-    if scratch is None:
-        scratch = _kernel_scratch(size)
     s, left, inside = (array[:size] for array in scratch)
     half = triangle.base / 2.0
     # At extreme shapes (x - t)*s or the u term can overflow to +-inf.  The

@@ -30,11 +30,7 @@ class QuadratureResult:
 
 
 def integrate_profile(
-    profile: Callable[[float], float],
-    lower: float,
-    upper: float,
-    tolerance: float,
-    max_depth: int = MAX_DEPTH,
+    profile: Callable[[float], float], lower: float, upper: float, tolerance: float
 ) -> QuadratureResult:
     """Integrate ``profile`` over [lower, upper] by adaptive Simpson quadrature.
 
@@ -44,17 +40,15 @@ def integrate_profile(
     Gander & Gautschi (BIT 40, 2000), a subinterval whose difference no
     longer changes the integral's magnitude, (upper - lower) times the
     largest of the first three samples, is also accepted: a tolerance below
-    roundoff then stops there instead of splitting to ``max_depth``, and is
-    flagged by ``converged=False``.
+    roundoff then stops there instead of splitting to the depth cap,
+    ``MAX_DEPTH``.  A subinterval accepted at the cap or at roundoff without
+    meeting its share is flagged by ``converged=False``.
 
     Args:
         profile: integrand; must return finite floats.
         lower: left endpoint, strictly below ``upper``.
         upper: right endpoint.
         tolerance: absolute error target, positive.
-        max_depth: recursion cap; subintervals accepted at the cap or at
-            roundoff without meeting their share are flagged by
-            ``converged=False``.
 
     Raises:
         ValueError: empty interval or non-positive tolerance.
@@ -93,7 +87,7 @@ def integrate_profile(
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         delta = left + right - whole
-        if abs(delta) <= 15.0 * tol or depth >= max_depth or magnitude + delta == magnitude:
+        if abs(delta) <= 15.0 * tol or depth >= MAX_DEPTH or magnitude + delta == magnitude:
             if abs(delta) > 15.0 * tol:
                 converged = False
             return left + right + delta / 15.0

@@ -27,9 +27,9 @@ def format_float(value: float) -> str:
     return format(value, ".17g")
 
 
-def _encode(value: Any, level: int, indent: int) -> str:
-    pad = " " * (indent * level)
-    child = " " * (indent * (level + 1))
+def _encode(value: Any, level: int) -> str:
+    pad = "  " * level
+    child = "  " * (level + 1)
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -43,22 +43,22 @@ def _encode(value: Any, level: int, indent: int) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        body = ",\n".join(child + _encode(item, level + 1, indent) for item in value)
+        body = ",\n".join(child + _encode(item, level + 1) for item in value)
         return "[\n" + body + "\n" + pad + "]"
     if isinstance(value, Mapping):
         if not value:
             return "{}"
         body = ",\n".join(
-            f"{child}{json.dumps(str(key))}: {_encode(item, level + 1, indent)}"
+            f"{child}{json.dumps(str(key))}: {_encode(item, level + 1)}"
             for key, item in value.items()
         )
         return "{\n" + body + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def dumps(payload: Any, indent: int = 2) -> str:
-    """Serialize to JSON with 17-significant-digit floats and stable key order."""
-    return _encode(payload, 0, indent)
+def dumps(payload: Any) -> str:
+    """Serialize to two-space-indented JSON, 17-significant-digit floats, stable key order."""
+    return _encode(payload, 0)
 
 
 @dataclass(frozen=True)

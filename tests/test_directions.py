@@ -284,6 +284,7 @@ APEX_CASES = [
     (1.0, 100.0, 100.001),
     (2.5, 0.75, 0.5),
     (2.5, 0.75, 1.1),
+    (1.0, 1e300, 1e-10),
 ]
 
 
@@ -307,7 +308,7 @@ def test_measure_is_accurate_about_the_apex_direction(base, height, threshold):
         assert error <= 1e-12, (x, error)
 
 
-@pytest.mark.parametrize("threshold", [1e-100, 1e-200, 1e-300])
+@pytest.mark.parametrize("threshold", [1e-100, 1e-200, 1e-300, 1e-310])
 def test_tiny_cutoff_keeps_the_directions_from_the_base_ends(threshold):
     # Every ray that enters the triangle from a base end is longer than the
     # cutoff, so the measure is the base angle.  The square of the crossing
@@ -516,7 +517,7 @@ def test_tolerance_share_that_underflows_stays_positive():
     [(1.0, 1e-310, 0.3), (1.0, 1e-320, 1e-4), (1.0, 1e308, 1e300), (1.0, 1e-320, 0.5)],
 )
 def test_probability_general_when_the_tangency_overflows(base, height, threshold):
-    # base/2 - t*side/height overflows to -+inf, so the cusp map turns linear.
+    # base/2 - t/(height/side) overflows to -+inf, so the cusp map turns linear.
     # The true probability is below 1e-299.
     tolerance = 1e-10
     result = probability_general(
@@ -533,14 +534,19 @@ def test_probability_general_when_the_tangency_overflows(base, height, threshold
         (1.0, 8.45e-301, 1e-300),
         (1.0, 1e-200, 3e-201),
         (1.0, 1e-310, 3e-311),
+        (1.0, 1e-320, 2e-320),
+        (1.0, 1e-320, 1.5e-320),
+        (1.0, 1e-315, 1e-315),
     ],
 )
 def test_probability_general_at_extreme_ratios(base, height, threshold):
     # t times the side length overflows at the first shape, and the square of
     # the distance from a base point to a side line underflows at the others.
     # direction_set works in units of t and loses no side crossing; at the
-    # last shape the distance along the base over t overflows, so it divides
-    # by t last.
+    # fourth shape the distance along the base over t overflows, so it
+    # divides the offset by reach = t/(height/side) and never by t alone.
+    # At the last three the height and the cutoff are subnormal, and a
+    # product with either of them would keep only a few bits.
     problem = ChordProblem(IsoscelesTriangle(base, height), threshold)
     tolerance = 1e-10
     result = probability_general(problem, tolerance)

@@ -19,7 +19,13 @@ from trichord import (
 )
 from trichord import montecarlo
 from trichord.directions import unit_base
-from trichord.montecarlo import BLOCK_SIZE, SLICE_SIZE, _block_generator, _successes
+from trichord.montecarlo import (
+    BLOCK_SIZE,
+    SLICE_SIZE,
+    _block_generator,
+    _kernel_scratch,
+    _successes,
+)
 
 P_EXACT = 0.016212872164880516  # frozen from a 50-digit evaluation
 
@@ -195,9 +201,9 @@ def _assert_success_brackets_side_hit(triangle, x, theta):
     length = side_hit(triangle, x, theta).distance
     below = length * (1.0 - 1e-10) - 1e-12
     above = length * (1.0 + 1e-10) + 1e-12
-    xs, thetas = np.array([x]), np.array([theta])
-    assert _successes(triangle, below, xs, thetas * 0.5)[0], (x, theta, length)
-    assert not _successes(triangle, above, xs, thetas * 0.5)[0], (x, theta, length)
+    xs, thetas, scratch = np.array([x]), np.array([theta]), _kernel_scratch(1)
+    assert _successes(triangle, below, xs, thetas * 0.5, scratch)[0], (x, theta, length)
+    assert not _successes(triangle, above, xs, thetas * 0.5, scratch)[0], (x, theta, length)
 
 
 def test_vectorized_lengths_match_side_hit():
@@ -224,7 +230,9 @@ def test_success_indicator_matches_direction_set_membership():
     s = direction_set(UNIT, x)
     rng = _block_generator(seed=21, block=0)
     thetas = rng.random(2000) * math.pi
-    successes = _successes(UNIT.triangle, 1.0, np.full(2000, x), thetas * 0.5)
+    successes = _successes(
+        UNIT.triangle, 1.0, np.full(2000, x), thetas * 0.5, _kernel_scratch(2000)
+    )
     checked = 0
     for theta, success in zip(thetas, successes):
         near_boundary = any(
@@ -462,7 +470,7 @@ def _count_in_fresh_arrays(problem, samples, seed, fixed_x=None):
             xs = np.full(size, fixed_x / problem.triangle.base)
         thetas = rng.random(size) * math.pi
         assert thetas.all()
-        mask = _successes(unit.triangle, unit.threshold, xs, thetas * 0.5)
+        mask = _successes(unit.triangle, unit.threshold, xs, thetas * 0.5, _kernel_scratch(size))
         successes += int(np.count_nonzero(mask))
     return successes
 

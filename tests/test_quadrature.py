@@ -10,6 +10,7 @@ from trichord import (
     limit_angle,
     probability_by_quadrature,
 )
+from trichord import quadrature
 
 # Frozen from 50-digit evaluations of the closed forms.
 ALPHA_INTEGRAL = 0.050934240086779077  # integral of the limit angle over the base
@@ -100,9 +101,10 @@ def test_non_finite_integrand_raises():
         integrate_profile(lambda x: math.inf, 0.0, 1.0, 1e-6)
 
 
-def test_depth_cap_flags_non_convergence():
+def test_depth_cap_flags_non_convergence(monkeypatch):
     # impossible tolerance with a tiny depth cap: flagged, value still usable
-    result = integrate_profile(lambda x: x**6, 0.0, 1.0, 1e-22, max_depth=3)
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 3)
+    result = integrate_profile(lambda x: x**6, 0.0, 1.0, 1e-22)
     assert not result.converged
     assert result.integral == pytest.approx(1.0 / 7.0, rel=1e-3)
 
