@@ -268,12 +268,13 @@ def probability_general(problem: ChordProblem, tolerance: float = 1e-10) -> Quad
 
     Solves the problem scaled to base 1 (``unit_base``) at tolerance / base,
     so any scale works, and scales the integral back.  Integrates the
-    direction-set measure over [0, 1/2], one adaptive Simpson run per
-    analytic piece with its nearest cusp absorbed, doubles it by mirror
-    symmetry and normalizes by pi (uniform base point, uniform angle).  Each
-    piece gets tolerance / (2 * pieces), so the error bound of the integral
-    across the whole base stays ``tolerance``; ``evaluations`` sums the
-    pieces and ``converged`` holds when every piece converged.
+    direction-set measure over [0, 1/2], one adaptive Gauss–Kronrod 7/15
+    run (``integrate_profile``) per piece, each analytic once its nearest
+    cusp is absorbed, doubles it by mirror symmetry and normalizes by pi
+    (uniform base point, uniform angle).  Each piece gets
+    tolerance / (2 * pieces), so the error bound of the integral across the
+    whole base stays ``tolerance``; ``evaluations`` sums the pieces and
+    ``converged`` holds when every piece converged.
 
     Raises:
         ValueError: tolerance is not positive and finite.

@@ -419,29 +419,29 @@ def test_probability_general_converges_and_matches_quadpack(base, height, thresh
     _assert_matches_reference(problem, tolerance)
 
 
-# Adaptive Simpson accepts a panel of this shape too early at tol 1e-10 and
-# lands 3.5x outside its bound with converged=True (ROADMAP item 2).
+# A rule that accepts a panel too early lands outside the bound here with
+# converged=True: at tol 1e-10 adaptive Simpson was 3.5x over on the first
+# shape, and 1.57x and 1.80x on two general_sweep inputs (seeds 401 and 3002).
 EARLY_ACCEPTANCE = ChordProblem(
     IsoscelesTriangle(2.3409493128542507, 3.371844730074333), 1.624224626784513
 )
+SWEEP_EARLY_ACCEPTANCE = [
+    ChordProblem(IsoscelesTriangle(1.0, 1.2404193803786567), 0.9757309679305015),
+    ChordProblem(IsoscelesTriangle(1.0, 1.5014742517545894), 0.9343076213151736),
+]
 
 
 @pytest.mark.parametrize(
-    "tolerance",
+    "problem, tolerance",
     [
-        1e-12,
-        pytest.param(
-            1e-10,
-            marks=pytest.mark.xfail(
-                strict=True,
-                raises=AssertionError,
-                reason="early acceptance in adaptive Simpson (ROADMAP item 2 FOUND)",
-            ),
-        ),
+        pytest.param(EARLY_ACCEPTANCE, 1e-12, id="1e-12"),
+        pytest.param(EARLY_ACCEPTANCE, 1e-10, id="1e-10"),
+        pytest.param(SWEEP_EARLY_ACCEPTANCE[0], 1e-10, id="sweep-seed-401-1e-10"),
+        pytest.param(SWEEP_EARLY_ACCEPTANCE[1], 1e-10, id="sweep-seed-3002-1e-10"),
     ],
 )
-def test_probability_general_early_acceptance_shape(tolerance):
-    _assert_matches_reference(EARLY_ACCEPTANCE, tolerance)
+def test_probability_general_early_acceptance_shape(problem, tolerance):
+    _assert_matches_reference(problem, tolerance)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

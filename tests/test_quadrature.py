@@ -1,4 +1,4 @@
-"""Tests for adaptive Simpson integration."""
+"""Tests for adaptive Gauss–Kronrod 7/15 integration."""
 
 import math
 
@@ -21,9 +21,31 @@ def test_constant_integrand_is_exact():
     result = integrate_profile(lambda x: 1.0, 0.0, 1.0, 1e-12)
     assert result.integral == pytest.approx(1.0, abs=1e-15)
     assert result.converged
-    assert result.evaluations == 5
+    assert result.evaluations == 15  # one K15 panel
     assert result.probability is None
     assert result.tolerance == 1e-12
+
+
+@pytest.mark.parametrize(
+    "weights, centre_weight, degree",
+    [
+        (quadrature.KRONROD_WEIGHTS, quadrature.KRONROD_CENTRE_WEIGHT, 22),
+        (quadrature.GAUSS_WEIGHTS, quadrature.GAUSS_CENTRE_WEIGHT, 13),
+    ],
+    ids=["kronrod15", "gauss7"],
+)
+def test_rule_integrates_monomials_exactly(weights, centre_weight, degree):
+    # Exact to 1e-15, so a node or weight mistyped in its first 13 significant
+    # digits fails.  The centre node is 0, so it weighs only the constant.
+    import mpmath
+
+    with mpmath.workdps(50):
+        for k in range(degree + 1):
+            rule = mpmath.mpf(centre_weight) if k == 0 else mpmath.mpf(0)
+            for node, weight in zip(quadrature.KRONROD_NODES, weights):
+                rule += mpmath.mpf(weight) * (mpmath.mpf(node) ** k + (-mpmath.mpf(node)) ** k)
+            exact = mpmath.mpf(0) if k % 2 else mpmath.mpf(2) / (k + 1)
+            assert abs(rule - exact) <= 1e-15, k
 
 
 def test_quadratic_integrand():
@@ -31,7 +53,7 @@ def test_quadratic_integrand():
     assert result.integral == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
-def test_cubic_integrand_is_exact_for_simpson():
+def test_cubic_integrand_is_exact():
     result = integrate_profile(lambda x: x**3 - x, -1.0, 2.0, 1e-12)
     assert result.integral == pytest.approx(2.25, abs=1e-12)
 
@@ -107,6 +129,20 @@ def test_depth_cap_flags_non_convergence(monkeypatch):
     result = integrate_profile(lambda x: x**6, 0.0, 1.0, 1e-22)
     assert not result.converged
     assert result.integral == pytest.approx(1.0 / 7.0, rel=1e-3)
+
+
+def test_depth_cap_stops_bisecting_a_kink(monkeypatch):
+    # K15 integrates x**6 exactly, so the test above stops at roundoff; a kink
+    # at the non-dyadic 1/3 needs about ten levels, so a cap of 3 must stop it.
+    def kink(x):
+        return abs(x - 1.0 / 3.0)
+
+    assert integrate_profile(kink, 0.0, 1.0, 1e-6).converged
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 3)
+    result = integrate_profile(kink, 0.0, 1.0, 1e-6)
+    assert not result.converged
+    assert result.evaluations <= 15 * (2**4 - 1)
+    assert result.integral == pytest.approx(5.0 / 18.0, abs=1e-4)
 
 
 def test_evaluation_count_is_reported():
