@@ -16,8 +16,11 @@ direction classifies the whole cell.
 As a function of x the measure is analytic between closed-form breakpoints:
 the tangencies, where the circle of radius t about (x, 0) touches a side line
 and the measure has a square-root cusp, and the vertex distances, where the
-circle passes through a vertex and the measure has a kink.  The measure is
-even in x, so ``probability_general`` integrates [0, base/2] piece by piece.
+circle passes through a vertex and the measure has a kink.  Near the middle
+of the base the measure can also be constant: pi while both side lines lie
+farther than t, and 0 while the circle holds all three vertices.  The
+measure is even in x, so ``probability_general`` integrates [0, base/2]
+piece by piece, closing the constant pieces exactly.
 """
 
 from __future__ import annotations
@@ -194,8 +197,8 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
     return AngularIntervalSet(tuple(intervals))
 
 
-def _breakpoints(problem: ChordProblem) -> tuple[list[float], list[float]]:
-    """Piece edges of the measure on [0, base/2], and the abscissas of its cusps.
+def _breakpoints(problem: ChordProblem) -> tuple[list[float], list[float], float, float]:
+    """Piece edges of the measure on [0, base/2], its cusps, and where it is constant.
 
     The tangencies x = +-(base/2 - reach), with reach = t / (height/side) as
     in ``direction_set``, are square-root cusps, and are returned wherever
@@ -203,6 +206,18 @@ def _breakpoints(problem: ChordProblem) -> tuple[list[float], list[float]]:
     the apex distance x = sqrt(t^2 - height^2) are kinks.  Edges run from 0
     to base/2, at least BREAKPOINT_SNAP * base/2 apart; a breakpoint that
     close to 0, base/2 or a tangency lands there.
+
+    Also returned, unsnapped, are ``full`` and ``empty``: the measure is pi
+    on [0, full] and 0 on [0, empty].  A chord ends on a side line, so it is
+    no shorter than that line's distance from (x, 0); for 0 <= x <= full =
+    base/2 - reach both side offsets are at least the reach, so both lines
+    lie at least t away and every direction but a tangent one qualifies.
+    The triangle is the convex hull of its vertices, so a disc that holds
+    the three holds every chord; for 0 <= x <= empty = min(t - base/2,
+    sqrt(t^2 - height^2)) the far base vertex and the apex lie within t, and
+    no direction qualifies.  With t <= height no piece lies within t of the
+    apex, and ``empty`` is -inf.  The ranges never overlap: full > 0 needs
+    reach < base/2, that is t < height * (base/2) / side < height.
     """
     triangle, t = problem.triangle, problem.threshold
     half, height = triangle.base / 2.0, triangle.height
@@ -214,10 +229,16 @@ def _breakpoints(problem: ChordProblem) -> tuple[list[float], list[float]]:
         return half if abs(x - half) <= snap else x
 
     reach = t / (height / math.hypot(half, height))
-    cusps = [snapped(half - reach), snapped(reach - half)]
+    full = half - reach
+    cusps = [snapped(full), snapped(reach - half)]
     kinks = [half - t, t - half]
+    empty = -math.inf
     if t > height:
-        kinks.append(math.sqrt(t * t - height * height))
+        # Not t*t - height*height: that cancels for t near the height, and is
+        # inf - inf once both squares overflow.
+        apex = math.sqrt((t - height) * (t + height))
+        kinks.append(apex)
+        empty = min(t - half, apex)
     points = [(0.0, False), (half, False), *((c, True) for c in cusps)]
     points += [(snapped(k), False) for k in kinks]
     edges: list[float] = []
@@ -228,7 +249,7 @@ def _breakpoints(problem: ChordProblem) -> tuple[list[float], list[float]]:
             edges.append(x)
         elif cusp:
             edges[-1] = x  # a tangency keeps its place
-    return edges, cusps
+    return edges, cusps, full, empty
 
 
 def _absorb_cusp(
@@ -268,13 +289,16 @@ def probability_general(problem: ChordProblem, tolerance: float = 1e-10) -> Quad
 
     Solves the problem scaled to base 1 (``unit_base``) at tolerance / base,
     so any scale works, and scales the integral back.  Integrates the
-    direction-set measure over [0, 1/2], one adaptive Gauss–Kronrod 7/15
-    run (``integrate_profile``) per piece, each analytic once its nearest
-    cusp is absorbed, doubles it by mirror symmetry and normalizes by pi
-    (uniform base point, uniform angle).  Each piece gets
-    tolerance / (2 * pieces), so the error bound of the integral across the
-    whole base stays ``tolerance``; ``evaluations`` sums the pieces and
-    ``converged`` holds when every piece converged.
+    direction-set measure over [0, 1/2] piece by piece, doubles it by mirror
+    symmetry and normalizes by pi (uniform base point, uniform angle).  A
+    piece that ends by ``full`` or ``empty`` of ``_breakpoints``, where every
+    direction or none qualifies, adds exactly pi times its width or 0.  Every
+    other piece is analytic once its nearest cusp is absorbed, and gets one
+    adaptive Gauss–Kronrod 7/15 run (``integrate_profile``) at
+    tolerance / (2 * integrated pieces), so the error bound of the integral
+    across the whole base stays ``tolerance``.  ``evaluations`` sums the
+    integrated pieces, so it is 0 when t = 0 or t exceeds every chord, and
+    ``converged`` holds when every integrated piece converged.
 
     Raises:
         ValueError: tolerance is not positive and finite.
@@ -283,14 +307,21 @@ def probability_general(problem: ChordProblem, tolerance: float = 1e-10) -> Quad
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     base = problem.triangle.base
     unit = unit_base(problem)
-    edges, cusps = _breakpoints(unit)
+    edges, cusps, full, empty = _breakpoints(unit)
+    exact: list[float] = []
+    varying: list[tuple[float, float]] = []
+    for lo, hi in zip(edges, edges[1:]):
+        if hi <= full:
+            exact.append(math.pi * (hi - lo))
+        elif hi > empty:  # a piece that ends by ``empty`` adds 0
+            varying.append((lo, hi))
     # A share below the smallest float is roundoff anyway; keep it positive.
-    share = max(tolerance / base / (2.0 * (len(edges) - 1)), math.ulp(0.0))
+    share = max(tolerance / base / (2.0 * max(len(varying), 1)), math.ulp(0.0))
     pieces = [
         integrate_profile(_absorb_cusp(unit, lo, hi, cusps), 0.0, 1.0, share)
-        for lo, hi in zip(edges, edges[1:])
+        for lo, hi in varying
     ]
-    unit_integral = 2.0 * math.fsum(piece.integral for piece in pieces)
+    unit_integral = 2.0 * math.fsum([*exact, *(piece.integral for piece in pieces)])
     return QuadratureResult(
         integral=unit_integral * base,
         probability=unit_integral / math.pi,

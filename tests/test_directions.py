@@ -19,6 +19,7 @@ from trichord import (
     probability_general,
     side_hit,
 )
+from trichord.directions import _breakpoints, unit_base
 
 # Frozen from 50-digit evaluations of the closed form.
 P_EXACT = 0.016212872164880516
@@ -232,7 +233,9 @@ def _probability_50_digits(problem):
     with mpmath.workdps(50):
         half = mpmath.mpf(problem.triangle.base) / 2
         height, t = mpmath.mpf(problem.triangle.height), mpmath.mpf(problem.threshold)
-        breaks = [abs(half - t * mpmath.hypot(half, height) / height), half - t]
+        # The tangency and the vertex distance lie at +-(half - reach) and
+        # +-(half - t); on [0, half] each shows at its absolute value.
+        breaks = [abs(half - t * mpmath.hypot(half, height) / height), abs(half - t)]
         if t > height:
             breaks.append(mpmath.sqrt(t * t - height * height))
         edges = [0, *sorted(b for b in breaks if 0 < b < half), half]
@@ -337,12 +340,68 @@ def test_probability_general_unit_matches_exact():
 
 def test_probability_general_zero_threshold():
     result = probability_general(ChordProblem(IsoscelesTriangle(), 0.0), 1e-10)
-    assert result.probability == pytest.approx(1.0, abs=1e-12)
+    assert result.probability == 1.0
+    assert result.evaluations == 0
 
 
 def test_probability_general_unreachable_threshold():
     result = probability_general(ChordProblem(IsoscelesTriangle(), 3.0), 1e-10)
     assert result.probability == 0.0
+    assert result.evaluations == 0
+
+
+@pytest.mark.parametrize("base, height", [(2.0, 1.5), (1.0, 0.3), (1.0, 100.0)])
+def test_constant_probability_needs_no_quadrature(base, height):
+    # With no cutoff every direction qualifies, and with one beyond the
+    # longest chord none does, so both answers are exact.
+    triangle = IsoscelesTriangle(base, height)
+    longest = max(base, math.hypot(base / 2.0, height))
+    for threshold, probability in ((0.0, 1.0), (1.01 * longest, 0.0)):
+        result = probability_general(ChordProblem(triangle, threshold), 1e-10)
+        assert (result.probability, result.evaluations) == (probability, 0)
+        assert result.converged
+
+
+def _constant_piece_cases():
+    """A shape with a full piece, one with an empty piece, and cutoffs about breakpoints.
+
+    Each shape also takes the cutoff at and one ulp about each place where
+    ``full`` or ``empty`` meets a breakpoint.
+    """
+    cases = [(2.0, 1.5, 0.8), (1.0, 0.3, 0.9)]
+    for base, height in ((2.0, 1.5), (1.0, 0.3)):
+        half = base / 2.0
+        side = math.hypot(half, height)
+        places = (
+            half * height / side,  # full = base/2 - reach meets 0
+            half,  # empty's vertex part t - base/2 meets 0
+            height,  # its apex part sqrt(t^2 - height^2) meets 0
+            base / 4.0 + height * height / base,  # the two parts meet
+            base,  # the vertex part meets base/2
+            side,  # the apex part meets base/2
+        )
+        cases += [(base, height, t) for place in places for t in _within_ulps(place, 1)]
+    return cases
+
+
+@pytest.mark.parametrize("base, height, threshold", _constant_piece_cases())
+def test_constant_pieces_are_exact(base, height, threshold):
+    problem = ChordProblem(IsoscelesTriangle(base, height), threshold)
+    tolerance = 1e-10
+    result = probability_general(problem, tolerance)
+    assert result.converged
+    error = abs(result.probability - _probability_50_digits(problem))
+    assert error <= tolerance / (math.pi * base), error
+    # Ray casts, which do not use the bounds, find every direction
+    # qualifying inside [0, full] and none on [0, empty].
+    unit = unit_base(problem)
+    _, _, full, empty = _breakpoints(unit)
+    if full > 0.0:
+        for k in range(1, 8):
+            assert direction_set(unit, full * k / 8.0).measure == math.pi
+    if empty >= 0.0:
+        for k in range(9):
+            assert direction_set(unit, min(empty, 0.5) * k / 8.0).measure == 0.0
 
 
 def test_probability_general_monotone_in_threshold():
