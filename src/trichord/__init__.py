@@ -8,106 +8,76 @@ adaptive quadrature of the angular-measure profile, and Monte Carlo
 sampling.  In the unit configuration the probability is
 (2/pi)(2*atan(1/3) - 1/phi), about 0.0162.
 
-Only Monte Carlo needs NumPy, so ``estimate``, ``empirical_limit_angle`` and
-the ``montecarlo`` module load on first access.
+Every public name loads its defining module on first use, so ``import
+trichord`` runs no engine code.  Only Monte Carlo needs NumPy, so NumPy still
+loads only with ``estimate``, ``empirical_limit_angle`` or the ``montecarlo``
+module.
 """
-
-import importlib
-
-from .directions import (
-    AngularIntervalSet,
-    ChordProblem,
-    direction_set,
-    is_unit_configuration,
-    probability_general,
-)
-from .errors import DegenerateDirectionError, NonFiniteSampleError, OutOfBaseError
-from .estimates import Method, ProbabilityEstimate
-from .exact import (
-    ExactConstants,
-    arcsin_terms_definite,
-    arctan_identity_residual,
-    complex_argument_residual,
-    constants,
-    primitive_arcsin_down,
-    primitive_arcsin_up,
-    primitive_inv_root,
-    primitive_x_over_root,
-    probability_arctan_form,
-    probability_golden_ratio_form,
-    tangent_sum_residual,
-)
-from .geometry import (
-    IsoscelesTriangle,
-    LimitAngleBreakdown,
-    RayHit,
-    Side,
-    limit_angle,
-    limit_angle_components,
-    side_hit,
-)
-from .quadrature import QuadratureResult, integrate_profile, probability_by_quadrature
-from .reports import (
-    Agreement,
-    DensityProfile,
-    ExperimentConfig,
-    ExperimentReport,
-    base_grid,
-    density_profile,
-    parse_density_csv,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AngularIntervalSet",
-    "Agreement",
-    "ChordProblem",
-    "DegenerateDirectionError",
-    "DensityProfile",
-    "ExactConstants",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "IsoscelesTriangle",
-    "LimitAngleBreakdown",
-    "Method",
-    "NonFiniteSampleError",
-    "OutOfBaseError",
-    "ProbabilityEstimate",
-    "QuadratureResult",
-    "RayHit",
-    "Side",
-    "arcsin_terms_definite",
-    "arctan_identity_residual",
-    "base_grid",
-    "complex_argument_residual",
-    "constants",
-    "density_profile",
-    "direction_set",
-    "empirical_limit_angle",
-    "estimate",
-    "integrate_profile",
-    "is_unit_configuration",
-    "limit_angle",
-    "limit_angle_components",
-    "parse_density_csv",
-    "primitive_arcsin_down",
-    "primitive_arcsin_up",
-    "primitive_inv_root",
-    "primitive_x_over_root",
-    "probability_arctan_form",
-    "probability_by_quadrature",
-    "probability_general",
-    "probability_golden_ratio_form",
-    "side_hit",
-    "tangent_sum_residual",
-    "__version__",
-]
+# Each public name and the submodule that defines it.
+_EXPORTS = {
+    "AngularIntervalSet": "directions",
+    "ChordProblem": "directions",
+    "direction_set": "directions",
+    "is_unit_configuration": "directions",
+    "probability_general": "directions",
+    "DegenerateDirectionError": "errors",
+    "NonFiniteSampleError": "errors",
+    "OutOfBaseError": "errors",
+    "Method": "estimates",
+    "ProbabilityEstimate": "estimates",
+    "ExactConstants": "exact",
+    "arcsin_terms_definite": "exact",
+    "arctan_identity_residual": "exact",
+    "complex_argument_residual": "exact",
+    "constants": "exact",
+    "primitive_arcsin_down": "exact",
+    "primitive_arcsin_up": "exact",
+    "primitive_inv_root": "exact",
+    "primitive_x_over_root": "exact",
+    "probability_arctan_form": "exact",
+    "probability_golden_ratio_form": "exact",
+    "tangent_sum_residual": "exact",
+    "IsoscelesTriangle": "geometry",
+    "LimitAngleBreakdown": "geometry",
+    "RayHit": "geometry",
+    "Side": "geometry",
+    "limit_angle": "geometry",
+    "limit_angle_components": "geometry",
+    "side_hit": "geometry",
+    "empirical_limit_angle": "montecarlo",
+    "estimate": "montecarlo",
+    "QuadratureResult": "quadrature",
+    "integrate_profile": "quadrature",
+    "probability_by_quadrature": "quadrature",
+    "Agreement": "reports",
+    "DensityProfile": "reports",
+    "ExperimentConfig": "reports",
+    "ExperimentReport": "reports",
+    "base_grid": "reports",
+    "density_profile": "reports",
+    "parse_density_csv": "reports",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
 
 
 def __getattr__(name: str):
-    # PEP 562: NumPy loads on first use of a Monte Carlo name, not on import.
-    if name in ("montecarlo", "estimate", "empirical_limit_angle"):
-        montecarlo = importlib.import_module(".montecarlo", __name__)
-        return montecarlo if name == "montecarlo" else getattr(montecarlo, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # PEP 562: a public name or a submodule that defines one loads on first
+    # access, and is kept in the package globals so later lookups skip this.
+    from importlib import import_module
+
+    if name in _EXPORTS:
+        value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _EXPORTS.values():
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -29,6 +29,9 @@ import operator
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+# NumPy 2 loads numpy.random on first use; naming it here keeps that load out
+# of the first estimate.
+from numpy.random import Generator, Philox, SeedSequence
 
 from .directions import ChordProblem, unit_base
 from .estimates import Method, ProbabilityEstimate  # noqa: F401  (Method re-exported)
@@ -42,9 +45,8 @@ SLICE_SIZE = 1 << 14
 _Scratch = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _block_generator(seed: int, block: int) -> np.random.Generator:
-    sequence = np.random.SeedSequence(entropy=seed, spawn_key=(block,))
-    return np.random.Generator(np.random.Philox(sequence))
+def _block_generator(seed: int, block: int) -> Generator:
+    return Generator(Philox(SeedSequence(entropy=seed, spawn_key=(block,))))
 
 
 def _kernel_scratch(size: int) -> _Scratch:

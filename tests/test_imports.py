@@ -74,3 +74,63 @@ def test_unknown_attribute_still_raises():
 
     with pytest.raises(AttributeError):
         trichord.no_such_name
+
+
+def test_import_trichord_loads_no_submodule():
+    out = run_python(
+        "import sys, trichord\n"
+        "print(sorted(name for name in sys.modules if name.startswith('trichord.')))"
+    )
+    assert out == "[]"
+
+
+def test_each_public_name_is_its_defining_modules_object():
+    import importlib
+
+    import trichord
+
+    for name in trichord.__all__:
+        if name == "__version__":
+            continue
+        module = importlib.import_module(f"trichord.{trichord._EXPORTS[name]}")
+        assert getattr(trichord, name) is getattr(module, name), name
+        assert getattr(module, name).__module__ == module.__name__, name
+
+
+def test_submodules_resolve_as_attributes():
+    out = run_python(
+        "import sys, trichord\n"
+        "print(trichord.directions is sys.modules['trichord.directions'],\n"
+        "      trichord.montecarlo is sys.modules['trichord.montecarlo'])"
+    )
+    assert out == "True True"
+
+
+def test_dir_covers_all():
+    import trichord
+
+    assert set(trichord.__all__) <= set(dir(trichord))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--samples", "1000"],
+        ["verify", "--samples", "1000"],
+        ["general", "--method", "montecarlo", "--samples", "1000"],
+    ],
+)
+def test_montecarlo_timer_starts_after_numpy_loads(argv):
+    out = run_python(
+        "import sys, io, contextlib\n"
+        "import trichord.cli as cli\n"
+        "timed, started = cli._timed, []\n"
+        "def spy(timing, name, *rest):\n"
+        "    started.append((name, {'numpy', 'numpy.random'} <= set(sys.modules)))\n"
+        "    return timed(timing, name, *rest)\n"
+        "cli._timed = spy\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    cli.main({argv!r})\n"
+        "print([loaded for name, loaded in started if name == 'montecarlo'])"
+    )
+    assert out == "[True]"
