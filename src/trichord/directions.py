@@ -26,6 +26,7 @@ piece by piece, closing the constant pieces exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -100,15 +101,19 @@ class ChordProblem:
 def unit_base(problem: ChordProblem) -> ChordProblem:
     """The same problem scaled to base 1.
 
-    Direction sets depend on the shape only, so callers that evaluate many
-    of them scale once and pass x / base.  Scaling keeps the bits of
-    subnormal lengths, which direction sets at base 1 then work with in
-    full precision; it lets Monte Carlo draw its points at base 1; and it
-    makes the quadrature take the same decisions at every scale.
+    Scaling keeps the bits of subnormal lengths, which direction sets at
+    base 1 then work with in full precision; it lets Monte Carlo draw its
+    points at base 1; and it makes the quadrature take the same decisions
+    at every scale.
     """
     triangle = problem.triangle
     height = triangle.height / triangle.base
     return ChordProblem(IsoscelesTriangle(1.0, height), problem.threshold / triangle.base)
+
+
+def _unit_abscissa(x: float, base: float) -> float:
+    """x / base, clamped onto [-1/2, 1/2]: at a subnormal base +-base/2 rounds."""
+    return min(max(x / base, -0.5), 0.5)
 
 
 def is_unit_configuration(problem: ChordProblem) -> bool:
@@ -146,15 +151,19 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
     stays; when t > s that crossing lies beyond B, and no chord near the
     jump beats t.  Each cell is classified by the chord length at its
     midpoint, and one pass merges adjacent qualifying cells and drops
-    intervals narrower than MIN_INTERVAL_WIDTH.
+    intervals narrower than MIN_INTERVAL_WIDTH.  All of this runs at base
+    1: any other base solves ``unit_base(problem)`` at x / base, clamped
+    onto [-1/2, 1/2], and base 1 itself skips that step.
 
     Raises:
         OutOfBaseError: x lies outside the base.
     """
-    triangle = problem.triangle
-    require_on_base(triangle, x)
+    require_on_base(problem.triangle, x)
     if problem.threshold == 0.0:
         return AngularIntervalSet(((0.0, math.pi),))
+    if problem.triangle.base != 1.0:
+        x, problem = _unit_abscissa(x, problem.triangle.base), unit_base(problem)
+    triangle = problem.triangle
 
     half, height, t = triangle.base / 2.0, triangle.height, problem.threshold
     side = math.hypot(half, height)
@@ -315,8 +324,9 @@ def probability_general(problem: ChordProblem, tolerance: float = 1e-10) -> Quad
             exact.append(math.pi * (hi - lo))
         elif hi > empty:  # a piece that ends by ``empty`` adds 0
             varying.append((lo, hi))
-    # A share below the smallest float is roundoff anyway; keep it positive.
-    share = max(tolerance / base / (2.0 * max(len(varying), 1)), math.ulp(0.0))
+    # Below the smallest float a share is roundoff, above the largest it bounds p by more than 1.
+    share = tolerance / base / (2.0 * max(len(varying), 1))
+    share = min(max(share, math.ulp(0.0)), sys.float_info.max)
     pieces = [
         integrate_profile(_absorb_cusp(unit, lo, hi, cusps), 0.0, 1.0, share)
         for lo, hi in varying

@@ -33,7 +33,7 @@ import numpy as np
 # of the first estimate.
 from numpy.random import Generator, Philox, SeedSequence
 
-from .directions import ChordProblem, unit_base
+from .directions import ChordProblem, _unit_abscissa, unit_base
 from .estimates import Method, ProbabilityEstimate  # noqa: F401  (Method re-exported)
 from .geometry import IsoscelesTriangle, require_on_base
 
@@ -149,7 +149,7 @@ def _run_blocks(
     if unit.threshold > 1.0 + unit.triangle.height:  # longer than every chord
         return 0
     if fixed_x is not None:
-        fixed_x /= problem.triangle.base
+        fixed_x = _unit_abscissa(fixed_x, problem.triangle.base)
     blocks = -(-samples // BLOCK_SIZE)
     tasks = min(workers, blocks)
     with ThreadPoolExecutor(max_workers=tasks) as pool:

@@ -12,7 +12,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Mapping
 
-from .directions import ChordProblem, direction_set, is_unit_configuration, unit_base
+from .directions import ChordProblem, direction_set, is_unit_configuration
 from .estimates import ProbabilityEstimate
 from .geometry import IsoscelesTriangle, limit_angle
 
@@ -299,17 +299,11 @@ def density_profile(problem: ChordProblem, points: int) -> DensityProfile:
     """Angular-measure profile of ``problem`` on a symmetric grid of ``points``.
 
     Uses the closed-form limit angle in the unit configuration and the
-    direction-set construction, scaled to base 1, otherwise.
+    direction-set construction otherwise.
     """
-    base = problem.triangle.base
-    xs = base_grid(base, points)
+    xs = base_grid(problem.triangle.base, points)
     if is_unit_configuration(problem):
         rows = tuple((x, limit_angle(x)) for x in xs)
     else:
-        unit = unit_base(problem)
-        # At a subnormal base, +-base/2 rounds, so x / base can land just
-        # past +-1/2; clamp it back onto the base.
-        rows = tuple(
-            (x, direction_set(unit, min(max(x / base, -0.5), 0.5)).measure) for x in xs
-        )
+        rows = tuple((x, direction_set(problem, x).measure) for x in xs)
     return DensityProfile(rows)

@@ -411,6 +411,22 @@ def test_extreme_shapes_run_without_error(command, height, threshold, capsys):
         assert doc["details"]["quadrature_converged"] is True
 
 
+@pytest.mark.parametrize(
+    "command, converged",
+    [(("integrate",), "converged"), (("general", "--method", "quadrature"), "quadrature_converged")],
+)
+def test_default_tolerance_at_the_smallest_bases_converges(command, converged, capsys):
+    # tol / base overflows below a base of about 5.6e-321; the target on p
+    # then exceeds 1, so the first panel of each piece is accepted.
+    flags = ("--base", "1e-322", "--height", "1e-322", "--threshold", "1e-322")
+    assert cli.main([*command, *flags]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["estimates"]["quadrature"]["p_hat"] == pytest.approx(P_EXACT, abs=1e-10)
+    assert doc["details"][converged] is True
+
+
 def test_tolerance_below_roundoff_finishes_with_warning():
     # Before the roundoff stop, every piece split to the depth cap: a hang.
     flags = ("--method", "quadrature", "--base", "1e6", "--height", "1e6", "--threshold", "1e6")

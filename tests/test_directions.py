@@ -311,6 +311,20 @@ def test_measure_is_accurate_about_the_apex_direction(base, height, threshold):
         assert error <= 1e-12, (x, error)
 
 
+@pytest.mark.parametrize("base", [1e-310, 1e-315, 1e-318, 1e-320])
+def test_measure_is_accurate_at_subnormal_bases(base):
+    # Lengths this small have few bits, so the measure at the float inputs
+    # is computed at base 1, where their ratios keep full precision.
+    rng = np.random.default_rng(27)
+    for _ in range(40):
+        height = base * 10.0 ** rng.uniform(-1.0, 1.0)
+        longest = max(base, math.hypot(base / 2.0, height))
+        problem = ChordProblem(IsoscelesTriangle(base, height), rng.uniform(0.01, 1.0) * longest)
+        x = rng.uniform(-0.5, 0.5) * base
+        error = abs(direction_set(problem, x).measure - _measure_50_digits(problem, x))
+        assert error <= 1e-14, (height, problem.threshold, x, error)
+
+
 @pytest.mark.parametrize("threshold", [1e-100, 1e-200, 1e-300, 1e-310])
 def test_tiny_cutoff_keeps_the_directions_from_the_base_ends(threshold):
     # Every ray that enters the triangle from a base end is longer than the
@@ -540,7 +554,7 @@ def test_probability_is_scale_invariant_at_extreme_scales(shape):
         assert result.converged
         assert result.probability == pytest.approx(unit, abs=1e-15)
         assert result.integral / scale == pytest.approx(unit * math.pi * base, rel=1e-14)
-        # Direction sets of the scaled problem itself, with no scaling to base 1.
+        # Direction sets of the scaled problem itself, at the scaled abscissae.
         for x, measure in zip(xs, measures):
             assert direction_set(problem, x * scale).measure == pytest.approx(
                 measure, abs=1e-14

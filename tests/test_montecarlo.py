@@ -191,6 +191,15 @@ def test_empirical_limit_angle_at_quarter_point():
     assert abs(value - limit_angle(0.25)) < 0.002
 
 
+def test_empirical_limit_angle_at_a_subnormal_base_end_samples_the_base_end():
+    # base/2 rounds to 1e-323 here, so x / base is 2/3 unless clamped onto
+    # the base; the problem at base 1 is exactly the unit configuration.
+    base = 1.5e-323
+    problem = ChordProblem(IsoscelesTriangle(base, base), base)
+    value = empirical_limit_angle(problem, base / 2.0, 100_000, seed=3)
+    assert value == empirical_limit_angle(ChordProblem(), 0.5, 100_000, seed=3)
+
+
 def test_empirical_limit_angle_rejects_off_base_points():
     with pytest.raises(Exception):
         empirical_limit_angle(UNIT, 0.75, 100, seed=0)
