@@ -151,18 +151,18 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
     stays; when t > s that crossing lies beyond B, and no chord near the
     jump beats t.  Each cell is classified by the chord length at its
     midpoint, and one pass merges adjacent qualifying cells and drops
-    intervals narrower than MIN_INTERVAL_WIDTH.  All of this runs at base
-    1: any other base solves ``unit_base(problem)`` at x / base, clamped
-    onto [-1/2, 1/2], and base 1 itself skips that step.
+    intervals narrower than MIN_INTERVAL_WIDTH.  All this runs at base 1
+    and t > 0: another base solves ``unit_base(problem)`` at x / base, clamped
+    onto [-1/2, 1/2], base 1 skips that, and t = 0 there admits every direction.
 
     Raises:
         OutOfBaseError: x lies outside the base.
     """
     require_on_base(problem.triangle, x)
-    if problem.threshold == 0.0:
-        return AngularIntervalSet(((0.0, math.pi),))
     if problem.triangle.base != 1.0:
         x, problem = _unit_abscissa(x, problem.triangle.base), unit_base(problem)
+    if problem.threshold == 0.0:
+        return AngularIntervalSet(((0.0, math.pi),))
     triangle = problem.triangle
 
     half, height, t = triangle.base / 2.0, triangle.height, problem.threshold

@@ -325,6 +325,14 @@ def test_measure_is_accurate_at_subnormal_bases(base):
         assert error <= 1e-14, (height, problem.threshold, x, error)
 
 
+@pytest.mark.parametrize("base, threshold", [(2.0, 5e-324), (1e300, 1e-30)])
+def test_cutoff_that_underflows_at_base_1_lets_every_direction_qualify(base, threshold):
+    # threshold / base rounds to 0, so the problem at base 1 has no cutoff.
+    problem = ChordProblem(IsoscelesTriangle(base, 1.0), threshold)
+    for x in (0.0, base / 2.0, -base / 2.0):
+        assert direction_set(problem, x).measure == math.pi
+
+
 @pytest.mark.parametrize("threshold", [1e-100, 1e-200, 1e-300, 1e-310])
 def test_tiny_cutoff_keeps_the_directions_from_the_base_ends(threshold):
     # Every ray that enters the triangle from a base end is longer than the
