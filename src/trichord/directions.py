@@ -43,10 +43,6 @@ MIN_INTERVAL_WIDTH = 1e-12
 # are dropped; the slack keeps a crossing at the apex itself.
 APEX_SLACK = 1e-9
 
-# Breakpoints closer than this share of base/2 merge into one, and those this
-# close to 0 or base/2 land there, so roundoff leaves no sliver pieces.
-BREAKPOINT_SNAP = 1e-12
-
 
 @dataclass(frozen=True)
 class AngularIntervalSet:
@@ -212,17 +208,17 @@ def _breakpoints(problem: ChordProblem) -> tuple[list[float], list[float], float
     The tangencies x = +-(base/2 - reach), with reach = t / (height/side) as
     in ``direction_set``, are square-root cusps, and are returned wherever
     they lie; the vertex distances x = +-(base/2 - t) and, for t > height,
-    the apex distance x = sqrt(t^2 - height^2) are kinks.  Edges run from 0
-    to base/2, at least BREAKPOINT_SNAP * base/2 apart; a breakpoint that
-    close to 0, base/2 or a tangency lands there.
+    the apex distance x = sqrt(t^2 - height^2) are kinks.  The edges are 0,
+    base/2 and every distinct breakpoint between them, so the measure is
+    analytic on each piece.
 
-    Also returned, unsnapped, are ``full`` and ``empty``: the measure is pi
-    on [0, full] and 0 on [0, empty].  A chord ends on a side line, so it is
-    no shorter than that line's distance from (x, 0); for 0 <= x <= full =
-    base/2 - reach both side offsets are at least the reach, so both lines
-    lie at least t away and every direction but a tangent one qualifies.
-    The triangle is the convex hull of its vertices, so a disc that holds
-    the three holds every chord; for 0 <= x <= empty = min(t - base/2,
+    Also returned are ``full`` and ``empty``: the measure is pi on [0, full]
+    and 0 on [0, empty].  A chord ends on a side line, so it is no shorter
+    than that line's distance from (x, 0); for 0 <= x <= full = base/2 -
+    reach both side offsets are at least the reach, so both lines lie at
+    least t away and every direction but a tangent one qualifies.  The
+    triangle is the convex hull of its vertices, so a disc that holds the
+    three holds every chord; for 0 <= x <= empty = min(t - base/2,
     sqrt(t^2 - height^2)) the far base vertex and the apex lie within t, and
     no direction qualifies.  With t <= height no piece lies within t of the
     apex, and ``empty`` is -inf.  The ranges never overlap: full > 0 needs
@@ -230,35 +226,18 @@ def _breakpoints(problem: ChordProblem) -> tuple[list[float], list[float], float
     """
     triangle, t = problem.triangle, problem.threshold
     half, height = triangle.base / 2.0, triangle.height
-    snap = BREAKPOINT_SNAP * half
-
-    def snapped(x: float) -> float:
-        if abs(x) <= snap:
-            return 0.0
-        return half if abs(x - half) <= snap else x
-
     reach = t / (height / math.hypot(half, height))
     full = half - reach
-    cusps = [snapped(full), snapped(reach - half)]
-    kinks = [half - t, t - half]
+    breakpoints = [full, -full, half - t, t - half]
     empty = -math.inf
     if t > height:
         # Not t*t - height*height: that cancels for t near the height, and is
         # inf - inf once both squares overflow.
         apex = math.sqrt((t - height) * (t + height))
-        kinks.append(apex)
+        breakpoints.append(apex)
         empty = min(t - half, apex)
-    points = [(0.0, False), (half, False), *((c, True) for c in cusps)]
-    points += [(snapped(k), False) for k in kinks]
-    edges: list[float] = []
-    for x, cusp in sorted(points):
-        if not 0.0 <= x <= half:
-            continue
-        if not edges or x - edges[-1] > snap:
-            edges.append(x)
-        elif cusp:
-            edges[-1] = x  # a tangency keeps its place
-    return edges, cusps, full, empty
+    edges = sorted({0.0, half, *(b for b in breakpoints if 0.0 < b < half)})
+    return edges, [full, -full], full, empty
 
 
 def _absorb_cusp(

@@ -311,6 +311,42 @@ def test_measure_is_accurate_about_the_apex_direction(base, height, threshold):
         assert error <= 1e-12, (x, error)
 
 
+@pytest.mark.parametrize(
+    "height, threshold",
+    [
+        (0.31100717013949897, 0.030353306263944203),
+        (1.600223346661054, 0.22689924370838108),
+        (3.094725763847554, 0.8456443579410309),
+    ],
+)
+def test_sliver_cell_at_a_vertex_distance_is_left_unclassified(height, threshold):
+    # At x = t - 1/2 the circle of radius t passes through the base vertex
+    # C, and two critical angles next to pi lie less than MIN_CELL_WIDTH
+    # apart; the midpoint of the cell between them rounds to pi, which is no
+    # ray direction.
+    problem = ChordProblem(IsoscelesTriangle(1.0, height), threshold)
+    x = threshold - 0.5
+    error = abs(direction_set(problem, x).measure - _measure_50_digits(problem, x))
+    assert error <= 1e-14, error
+
+
+@pytest.mark.parametrize(
+    "height, threshold",
+    [
+        (0.15236334916865257, 0.0011392185180045002),
+        (19.843053450508368, 0.02780808499802837),
+        (1.4141373028915076, 0.05782342330292364),
+    ],
+)
+def test_sliver_interval_at_a_vertex_distance_is_dropped(height, threshold):
+    # At x = 1/2 - t the circle of radius t passes through the base vertex
+    # A, and a ray near angle 0 meets side AB short of t, so the arc model
+    # has one gap, from AB's arc to pi.  Roundoff leaves a qualifying cell
+    # narrower than MIN_INTERVAL_WIDTH next to 0, which must not count.
+    problem = ChordProblem(IsoscelesTriangle(1.0, height), threshold)
+    assert len(direction_set(problem, 0.5 - threshold).intervals) == 1
+
+
 @pytest.mark.parametrize("base", [1e-310, 1e-315, 1e-318, 1e-320])
 def test_measure_is_accurate_at_subnormal_bases(base):
     # Lengths this small have few bits, so the measure at the float inputs
@@ -424,6 +460,47 @@ def test_constant_pieces_are_exact(base, height, threshold):
     if empty >= 0.0:
         for k in range(9):
             assert direction_set(unit, min(empty, 0.5) * k / 8.0).measure == 0.0
+
+
+def _coincidence_cases():
+    """Base-1 shapes with cutoffs at and one ulp about five meetings of breakpoints.
+
+    With s = hypot(1/2, h): a vertex distance meets 0 at t = 1/2 and a
+    tangency at t = h/(2s); on a tall shape with a tiny cutoff the tangency
+    and the vertex distance lie about t/(8h^2) apart, 1e-14 here; the apex
+    distance meets a vertex distance at t = 1/4 + h^2, and touches a
+    tangency at t = 2hs.
+    """
+    places = [
+        (2.0, 0.5),
+        (0.7, 0.7 / (2.0 * math.hypot(0.5, 0.7))),
+        (100.0, 1e-9),
+        (0.3, 0.25 + 0.3 * 0.3),
+        (0.3, 2.0 * 0.3 * math.hypot(0.5, 0.3)),
+    ]
+    return [(height, t) for height, place in places for t in _within_ulps(place, 1)]
+
+
+@pytest.mark.parametrize("height, threshold", _coincidence_cases())
+def test_near_coincident_breakpoints_are_piece_edges(height, threshold):
+    # The measure is analytic only between breakpoints, so each must be an
+    # edge however close it lies to another one, to 0 or to 1/2.
+    problem = ChordProblem(IsoscelesTriangle(1.0, height), threshold)
+    reach = threshold / (height / math.hypot(0.5, height))
+    breakpoints = [0.5 - reach, reach - 0.5, 0.5 - threshold, threshold - 0.5]
+    if threshold > height:
+        breakpoints.append(math.sqrt((threshold - height) * (threshold + height)))
+    edges, cusps, full, _ = _breakpoints(problem)
+    assert [b for b in breakpoints if 0.0 < b < 0.5 and b not in edges] == []
+    assert cusps == [full, -full]
+    if 0.0 < full < 0.5:
+        assert full in edges
+    # Worst error measured: 1.1e-16, against a bound of 3.2e-13.
+    tolerance = 1e-12
+    result = probability_general(problem, tolerance)
+    assert result.converged
+    error = abs(result.probability - _probability_50_digits(problem))
+    assert error <= tolerance / math.pi, error
 
 
 def test_probability_general_monotone_in_threshold():
