@@ -131,15 +131,21 @@ def _warn_unconverged(result: QuadratureResult) -> None:
         )
 
 
+def _binomial_sigma(p: float, samples: int) -> float:
+    """Standard deviation of a Monte Carlo estimate of p from ``samples`` draws."""
+    return math.sqrt(p * (1.0 - p) / samples)
+
+
 def _agreement(
     quadrature: ProbabilityEstimate, montecarlo: ProbabilityEstimate | None
 ) -> Agreement:
+    """Monte Carlo agrees within 1e-8 + 4 sigma, sigma at the quadrature's p: the
+    estimate's own standard error is 0 when it counts no success or no failure."""
     if montecarlo is None:
         return Agreement(0.0, True)
     diff = abs(quadrature.p_hat - montecarlo.p_hat)
-    allowance = QUADRATURE_AGREEMENT_TOLERANCE + SIGMA_MULTIPLE * (
-        quadrature.std_error + montecarlo.std_error
-    )
+    sigma = _binomial_sigma(quadrature.p_hat, montecarlo.samples)
+    allowance = QUADRATURE_AGREEMENT_TOLERANCE + SIGMA_MULTIPLE * sigma
     return Agreement(max_abs_difference=diff, within_tolerance=diff <= allowance)
 
 
@@ -261,9 +267,10 @@ def cmd_verify(config: ExperimentConfig, args: argparse.Namespace) -> tuple[int,
     timing: dict[str, float] = {}
     exact_p = _timed(timing, "exact", probability_golden_ratio_form)
     quad = _timed(timing, "quadrature", probability_by_quadrature, config.tolerance)
+    _warn_unconverged(quad)
     mc = _sampled(timing, _problem(config), config)
     quad_p = quad.probability + perturb
-    sigma = math.sqrt(exact_p * (1.0 - exact_p) / config.samples)
+    sigma = _binomial_sigma(exact_p, config.samples)
     allowance = SIGMA_MULTIPLE * sigma
     quadrature_error = abs(quad_p - exact_p)
     montecarlo_error = abs(mc.p_hat - exact_p)

@@ -202,13 +202,13 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
     return AngularIntervalSet(tuple(intervals))
 
 
-def _breakpoints(problem: ChordProblem) -> tuple[list[float], list[float], float, float]:
-    """Piece edges of the measure on [0, base/2], its cusps, and where it is constant.
+def _breakpoints(problem: ChordProblem) -> tuple[list[float], float, float]:
+    """Piece edges of the measure on [0, base/2], and where it is constant.
 
-    The tangencies x = +-(base/2 - reach), with reach = t / (height/side) as
-    in ``direction_set``, are square-root cusps, and are returned wherever
-    they lie; the vertex distances x = +-(base/2 - t) and, for t > height,
-    the apex distance x = sqrt(t^2 - height^2) are kinks.  The edges are 0,
+    On the half-base the breakpoints are the tangency |base/2 - reach|,
+    with reach = t / (height/side) as in ``direction_set``, a square-root
+    cusp, and two kinks: the vertex distance |base/2 - t| and, for
+    t > height, the apex distance sqrt(t^2 - height^2).  The edges are 0,
     base/2 and every distinct breakpoint between them, so the measure is
     analytic on each piece.
 
@@ -222,13 +222,14 @@ def _breakpoints(problem: ChordProblem) -> tuple[list[float], list[float], float
     sqrt(t^2 - height^2)) the far base vertex and the apex lie within t, and
     no direction qualifies.  With t <= height no piece lies within t of the
     apex, and ``empty`` is -inf.  The ranges never overlap: full > 0 needs
-    reach < base/2, that is t < height * (base/2) / side < height.
+    reach < base/2, that is t < height * (base/2) / side < height, so then
+    base/2 - t >= full, no apex distance exists and [0, full] is one piece.
     """
     triangle, t = problem.triangle, problem.threshold
     half, height = triangle.base / 2.0, triangle.height
     reach = t / (height / math.hypot(half, height))
     full = half - reach
-    breakpoints = [full, -full, half - t, t - half]
+    breakpoints = [abs(full), abs(half - t)]
     empty = -math.inf
     if t > height:
         # Not t*t - height*height: that cancels for t near the height, and is
@@ -237,31 +238,31 @@ def _breakpoints(problem: ChordProblem) -> tuple[list[float], list[float], float
         breakpoints.append(apex)
         empty = min(t - half, apex)
     edges = sorted({0.0, half, *(b for b in breakpoints if 0.0 < b < half)})
-    return edges, [full, -full], full, empty
+    return edges, full, empty
 
 
 def _absorb_cusp(
-    unit: ChordProblem, lo: float, hi: float, cusps: list[float]
+    unit: ChordProblem, lo: float, hi: float, tangency: float
 ) -> Callable[[float], float]:
     """Integrand on s in [0, 1] integrating the direction-set measure over [lo, hi].
 
-    Substitutes x = c +- v^2 about the cusp c nearest to the piece, with v
-    linear in s, so a square-root cusp at c becomes smooth in s whether c is
-    the piece's end (x = lo + w*s^2 or x = hi - w*s^2) or lies just beyond it.
-    The cusps sit at +-(base/2 - reach), so one of them is never right of 0
-    and an anchor always exists; a far one makes the map nearly linear.  The
-    map is written about the piece's end, x = end +- q*s*(2a + q*s) with
-    a = sqrt(|end - c|) and q = w / (a + sqrt(a^2 + w)), so nothing cancels
-    when c is far; a cusp whose abscissa overflowed to +-inf gets the limit,
-    x = end +- w*s.  x is clamped into [lo, hi] against roundoff.
+    ``tangency`` = |base/2 - reach| is the one cusp on the half-base, an edge
+    wherever it lies inside (0, base/2), so never inside (lo, hi).  The map
+    is anchored at the piece's end on the tangency's side: x = lo + v^2 when
+    the tangency is at or left of lo, else x = hi - v^2, shifted so that
+    v = 0 falls on the tangency, with v linear in s.  The square-root cusp
+    then becomes smooth in s whether it is the end or lies beyond it, and a
+    far one makes the map nearly linear.  The map is written about the end,
+    x = end +- q*s*(2a + q*s) with a = sqrt(|end - tangency|) and
+    q = w / (a + sqrt(a^2 + w)), so nothing cancels when the tangency is
+    far; one that overflowed to inf gets the limit x = lo + w*s.  x is
+    clamped into [lo, hi] against roundoff.
     """
     w = hi - lo
-    distance, end, direction = min(
-        [(lo - c, lo, 1.0) for c in cusps if c <= lo]
-        + [(c - hi, hi, -1.0) for c in cusps if c >= hi]
-    )
-    if distance == math.inf:
-        return lambda s: direction_set(unit, min(max(end + direction * w * s, lo), hi)).measure * w
+    if tangency == math.inf:
+        return lambda s: direction_set(unit, min(max(lo + w * s, lo), hi)).measure * w
+    end, direction = (lo, 1.0) if tangency <= lo else (hi, -1.0)
+    distance = abs(end - tangency)
     a = math.sqrt(distance)
     q = w / (a + math.sqrt(distance + w))
 
@@ -278,11 +279,12 @@ def probability_general(problem: ChordProblem, tolerance: float = 1e-10) -> Quad
     Solves the problem scaled to base 1 (``unit_base``) at tolerance / base,
     so any scale works, and scales the integral back.  Integrates the
     direction-set measure over [0, 1/2] piece by piece, doubles it by mirror
-    symmetry and normalizes by pi (uniform base point, uniform angle).  A
-    piece that ends by ``full`` or ``empty`` of ``_breakpoints``, where every
-    direction or none qualifies, adds exactly pi times its width or 0.  Every
-    other piece is analytic once its nearest cusp is absorbed, and gets one
-    adaptive Gauss–Kronrod 7/15 run (``integrate_profile``) at
+    symmetry and normalizes by pi (uniform base point, uniform angle).  When
+    ``full`` of ``_breakpoints`` is positive, [0, full] is one piece where
+    every direction qualifies, and adds exactly pi times its width; a piece
+    that ends by ``empty``, where none does, adds 0.  Every other piece is
+    analytic once the tangency is absorbed, and gets one adaptive
+    Gauss–Kronrod 7/15 run (``integrate_profile``) at
     tolerance / (2 * integrated pieces), so the error bound of the integral
     across the whole base stays ``tolerance``.  ``evaluations`` sums the
     integrated pieces, so it is 0 when t = 0 or t exceeds every chord, and
@@ -295,22 +297,18 @@ def probability_general(problem: ChordProblem, tolerance: float = 1e-10) -> Quad
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     base = problem.triangle.base
     unit = unit_base(problem)
-    edges, cusps, full, empty = _breakpoints(unit)
-    exact: list[float] = []
-    varying: list[tuple[float, float]] = []
-    for lo, hi in zip(edges, edges[1:]):
-        if hi <= full:
-            exact.append(math.pi * (hi - lo))
-        elif hi > empty:  # a piece that ends by ``empty`` adds 0
-            varying.append((lo, hi))
+    edges, full, empty = _breakpoints(unit)
+    varying = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > max(full, empty)]
     # Below the smallest float a share is roundoff, above the largest it bounds p by more than 1.
     share = tolerance / base / (2.0 * max(len(varying), 1))
     share = min(max(share, math.ulp(0.0)), sys.float_info.max)
     pieces = [
-        integrate_profile(_absorb_cusp(unit, lo, hi, cusps), 0.0, 1.0, share)
+        integrate_profile(_absorb_cusp(unit, lo, hi, abs(full)), 0.0, 1.0, share)
         for lo, hi in varying
     ]
-    unit_integral = 2.0 * math.fsum([*exact, *(piece.integral for piece in pieces)])
+    unit_integral = 2.0 * math.fsum(
+        [math.pi * max(full, 0.0), *(piece.integral for piece in pieces)]
+    )
     return QuadratureResult(
         integral=unit_integral * base,
         probability=unit_integral / math.pi,

@@ -163,6 +163,23 @@ def test_general_reports_disagreement_and_still_exits_0(monkeypatch, capsys):
     assert doc["agreement"] == {"max_abs_difference": 0.0, "within_tolerance": True}
 
 
+@pytest.mark.parametrize(
+    "threshold, successes",
+    [("1.1", 0), ("0.0001", 1000)],
+    ids=["no-success", "all-successes"],
+)
+def test_general_judges_monte_carlo_at_the_quadrature_probability(threshold, successes, capsys):
+    # p is 2.86e-4 at cutoff 1.1 and 0.9999 at 0.0001, so 1000 samples
+    # count no success or all of them.  The estimate's own standard error
+    # is then 0; the binomial sigma at the quadrature's p is not.
+    argv = ["general", "--threshold", threshold, "--samples", "1000", "--seed", "1"]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["estimates"]["montecarlo"]["successes"] == successes
+    assert doc["estimates"]["montecarlo"]["std_error"] == 0.0
+    assert doc["agreement"]["within_tolerance"] is True
+
+
 def test_general_rejects_exact_method():
     proc = run_cli("general", "--method", "exact")
     assert proc.returncode == 2
@@ -359,6 +376,15 @@ def test_unconverged_quadrature_warns_on_stderr(command, engine, shape, monkeypa
     doc = json.loads(out)
     assert doc["estimates"]["quadrature"]["p_hat"] == 0.25
     lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("trichord: warning: quadrature did not converge")
+
+
+def test_verify_warns_when_its_quadrature_does_not_converge():
+    proc = run_cli("verify", "--tol", "1e-300", "--samples", "1000")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["agreement"]["within_tolerance"] is True
+    lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("trichord: warning: quadrature did not converge")
 

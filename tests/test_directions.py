@@ -19,6 +19,7 @@ from trichord import (
     probability_general,
     side_hit,
 )
+from trichord import directions
 from trichord.directions import _breakpoints, unit_base
 
 # Frozen from 50-digit evaluations of the closed form.
@@ -453,7 +454,7 @@ def test_constant_pieces_are_exact(base, height, threshold):
     # Ray casts, which do not use the bounds, find every direction
     # qualifying inside [0, full] and none on [0, empty].
     unit = unit_base(problem)
-    _, _, full, empty = _breakpoints(unit)
+    _, full, empty = _breakpoints(unit)
     if full > 0.0:
         for k in range(1, 8):
             assert direction_set(unit, full * k / 8.0).measure == math.pi
@@ -490,9 +491,8 @@ def test_near_coincident_breakpoints_are_piece_edges(height, threshold):
     breakpoints = [0.5 - reach, reach - 0.5, 0.5 - threshold, threshold - 0.5]
     if threshold > height:
         breakpoints.append(math.sqrt((threshold - height) * (threshold + height)))
-    edges, cusps, full, _ = _breakpoints(problem)
+    edges, full, _ = _breakpoints(problem)
     assert [b for b in breakpoints if 0.0 < b < 0.5 and b not in edges] == []
-    assert cusps == [full, -full]
     if 0.0 < full < 0.5:
         assert full in edges
     # Worst error measured: 1.1e-16, against a bound of 3.2e-13.
@@ -501,6 +501,57 @@ def test_near_coincident_breakpoints_are_piece_edges(height, threshold):
     assert result.converged
     error = abs(result.probability - _probability_50_digits(problem))
     assert error <= tolerance / math.pi, error
+
+
+def _half_base_cases():
+    """Base-1 shapes with cutoffs at and one ulp about each meeting of a breakpoint.
+
+    With s = hypot(1/2, h): the tangency meets 0 at t = h/(2s), 1/2 at h/s
+    and the vertex distance at h/(h + s); the vertex distance meets 0 at
+    t = 1/2 and 1/2 at 1; the apex distance appears at t = h, meets 1/2 at
+    s, the vertex distance at 1/4 + h^2 and the tangency at 2hs.  At height
+    1e-320 and cutoff 1/2 the reach overflows.
+    """
+    cases = [(1e-320, 0.5)]
+    for height in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3):
+        side = math.hypot(0.5, height)
+        places = (
+            height / (2.0 * side),
+            height / side,
+            height / (height + side),
+            0.5,
+            1.0,
+            height,
+            side,
+            0.25 + height * height,
+            2.0 * height * side,
+        )
+        cases += [(height, t) for place in places for t in _within_ulps(place, 1)]
+    return cases
+
+
+@pytest.mark.parametrize("height, threshold", _half_base_cases())
+def test_every_piece_is_anchored_at_the_one_tangency(height, threshold, monkeypatch):
+    # On [0, 1/2] the only cusp is the tangency |1/2 - reach|: each integrated
+    # piece gets it, and it is never strictly inside one.  When every
+    # direction qualifies near the middle, [0, full] is the first piece.
+    problem = ChordProblem(IsoscelesTriangle(1.0, height), threshold)
+    edges, full, _ = _breakpoints(problem)
+    if full > 0.0:
+        assert edges[:2] == [0.0, full]
+    anchors = []
+    absorb_cusp = directions._absorb_cusp
+
+    def recording(unit, lo, hi, tangency):
+        anchors.append((lo, hi, tangency))
+        return absorb_cusp(unit, lo, hi, tangency)
+
+    monkeypatch.setattr(directions, "_absorb_cusp", recording)
+    result = probability_general(problem, 1e-10)
+    assert result.converged
+    for lo, hi, tangency in anchors:
+        assert tangency == abs(full)
+        assert not lo < tangency < hi, (lo, hi, tangency)
 
 
 def test_probability_general_monotone_in_threshold():
