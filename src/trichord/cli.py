@@ -34,10 +34,10 @@ from .reports import (
     density_profile,
 )
 
-# Deterministic methods must agree at least this closely in verify runs.
+# verify passes only when its quadrature lies closer than this to the closed form.
 QUADRATURE_AGREEMENT_TOLERANCE = 1e-8
 
-# Monte Carlo must land within this many binomial standard deviations.
+# Monte Carlo agrees, in general and verify, within this many binomial sigmas of the reference p.
 SIGMA_MULTIPLE = 4.0
 
 T = TypeVar("T")
@@ -53,7 +53,11 @@ _CONFIG_FLAGS = {
     "method": ("--method", f"which estimators a combined command runs: {', '.join(METHODS)}"),
     "samples": ("--samples", "Monte Carlo sample count"),
     "seed": ("--seed", "Monte Carlo root seed"),
-    "tolerance": ("--tol", "quadrature error target"),
+    "tolerance": (
+        "--tol",
+        "absolute error target on the integral of the angular measure over the base, "
+        "so p is within tol/(pi*base)",
+    ),
     "density_points": ("--points", "grid size for density output"),
     "output_format": ("--format", f"report format: {', '.join(FORMATS)}; density is always CSV"),
     "output_path": ("--out", "write output to this file instead of stdout"),
@@ -131,22 +135,15 @@ def _warn_unconverged(result: QuadratureResult) -> None:
         )
 
 
-def _binomial_sigma(p: float, samples: int) -> float:
-    """Standard deviation of a Monte Carlo estimate of p from ``samples`` draws."""
-    return math.sqrt(p * (1.0 - p) / samples)
+def _montecarlo_within(p_ref: float, mc: ProbabilityEstimate) -> tuple[float, float, float, bool]:
+    """(error, sigma, allowance, error <= allowance) of Monte Carlo against p_ref.
 
-
-def _agreement(
-    quadrature: ProbabilityEstimate, montecarlo: ProbabilityEstimate | None
-) -> Agreement:
-    """Monte Carlo agrees within 1e-8 + 4 sigma, sigma at the quadrature's p: the
-    estimate's own standard error is 0 when it counts no success or no failure."""
-    if montecarlo is None:
-        return Agreement(0.0, True)
-    diff = abs(quadrature.p_hat - montecarlo.p_hat)
-    sigma = _binomial_sigma(quadrature.p_hat, montecarlo.samples)
-    allowance = QUADRATURE_AGREEMENT_TOLERANCE + SIGMA_MULTIPLE * sigma
-    return Agreement(max_abs_difference=diff, within_tolerance=diff <= allowance)
+    sigma is taken at p_ref, as the estimate's own is 0 at 0 or n successes; with
+    no floor, at p_ref = 0 or 1 only a count of exactly 0 or n agrees."""
+    error = abs(mc.p_hat - p_ref)
+    sigma = math.sqrt(p_ref * (1.0 - p_ref) / mc.samples)
+    allowance = SIGMA_MULTIPLE * sigma
+    return error, sigma, allowance, error <= allowance
 
 
 def estimate(problem: ChordProblem, samples: int, seed: int) -> ProbabilityEstimate:
@@ -246,14 +243,16 @@ def cmd_general(config: ExperimentConfig, args: argparse.Namespace) -> tuple[int
     quad = _timed(timing, "quadrature", probability_general, problem, config.tolerance)
     _warn_unconverged(quad)
     estimates = {"quadrature": ProbabilityEstimate.from_value(quad.probability, Method.QUADRATURE)}
-    mc = None
+    agreement = Agreement(0.0, True)
     if config.method in ("montecarlo", "all"):
         mc = _sampled(timing, problem, config)
         estimates["montecarlo"] = mc
+        error, _, _, within = _montecarlo_within(quad.probability, mc)
+        agreement = Agreement(error, within)
     return 0, _report(
         config,
         estimates,
-        _agreement(estimates["quadrature"], mc),
+        agreement,
         timing,
         {"quadrature_evaluations": quad.evaluations, "quadrature_converged": quad.converged},
     )
@@ -270,11 +269,9 @@ def cmd_verify(config: ExperimentConfig, args: argparse.Namespace) -> tuple[int,
     _warn_unconverged(quad)
     mc = _sampled(timing, _problem(config), config)
     quad_p = quad.probability + perturb
-    sigma = _binomial_sigma(exact_p, config.samples)
-    allowance = SIGMA_MULTIPLE * sigma
     quadrature_error = abs(quad_p - exact_p)
-    montecarlo_error = abs(mc.p_hat - exact_p)
-    passed = quadrature_error < QUADRATURE_AGREEMENT_TOLERANCE and montecarlo_error < allowance
+    montecarlo_error, sigma, allowance, within = _montecarlo_within(exact_p, mc)
+    passed = quadrature_error < QUADRATURE_AGREEMENT_TOLERANCE and within
     return (0 if passed else 3), _report(
         config,
         {

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from trichord import ProbabilityEstimate, QuadratureResult, cli
+from trichord import ProbabilityEstimate, QuadratureResult, cli, probability_golden_ratio_form
 from trichord.reports import dumps
 
 P_EXACT = 0.016212872164880516  # frozen from a 50-digit evaluation
@@ -165,19 +165,72 @@ def test_general_reports_disagreement_and_still_exits_0(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "threshold, successes",
-    [("1.1", 0), ("0.0001", 1000)],
-    ids=["no-success", "all-successes"],
+    [("1.1", 0), ("0.0001", 1000), ("5", 0), ("0", 1000)],
+    ids=["no-success", "all-successes", "p0", "p1"],
 )
 def test_general_judges_monte_carlo_at_the_quadrature_probability(threshold, successes, capsys):
     # p is 2.86e-4 at cutoff 1.1 and 0.9999 at 0.0001, so 1000 samples
     # count no success or all of them.  The estimate's own standard error
-    # is then 0; the binomial sigma at the quadrature's p is not.
+    # is then 0; the binomial sigma at the quadrature's p is not.  At cutoff
+    # 5 and 0, p is 0 and 1, that sigma is 0 too, and the exact count agrees.
     argv = ["general", "--threshold", threshold, "--samples", "1000", "--seed", "1"]
     assert cli.main(argv) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["estimates"]["montecarlo"]["successes"] == successes
     assert doc["estimates"]["montecarlo"]["std_error"] == 0.0
     assert doc["agreement"]["within_tolerance"] is True
+
+
+_BILLION = 10**9
+
+
+def _counting(successes):
+    """An ``estimate`` stand-in whose Monte Carlo run counts ``successes``."""
+
+    def counted(problem, samples, seed):
+        return ProbabilityEstimate.from_counts(successes, samples, seed)
+
+    return counted
+
+
+# At 10^9 samples the unit p's 4-sigma allowance is 1.6e-5; the first count
+# past it errs by 8.5e-10 more, which a 1e-8 floor would forgive.
+_P_UNIT = probability_golden_ratio_form()
+_SIGMA_UNIT = math.sqrt(_P_UNIT * (1.0 - _P_UNIT) / _BILLION)
+_PAST_4_SIGMA = math.floor((_P_UNIT + 4.0 * _SIGMA_UNIT) * _BILLION) + 1
+
+
+@pytest.mark.parametrize(
+    "successes, within",
+    [(_PAST_4_SIGMA, False), (round(_P_UNIT * _BILLION), True)],
+    ids=["past-4-sigma", "inside"],
+)
+def test_one_monte_carlo_count_gets_one_verdict_in_general_and_verify(
+    successes, within, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "estimate", _counting(successes))
+    assert cli.main(["general", "--samples", str(_BILLION)]) == 0
+    general = json.loads(capsys.readouterr().out)["agreement"]["within_tolerance"]
+    assert cli.main(["verify", "--samples", str(_BILLION)]) == (0 if within else 3)
+    verify = json.loads(capsys.readouterr().out)["agreement"]["within_tolerance"]
+    assert general is verify is within
+
+
+@pytest.mark.parametrize(
+    "threshold, successes, within",
+    [("0", _BILLION, True), ("0", _BILLION - 1, False), ("5", 0, True), ("5", 1, False)],
+    ids=["p1-all", "p1-one-failure", "p0-none", "p0-one-success"],
+)
+def test_monte_carlo_agrees_at_p_0_or_1_only_on_an_exact_count(
+    threshold, successes, within, monkeypatch, capsys
+):
+    # Every chord exceeds cutoff 0 and none exceeds 5, so p is 1 or 0 and
+    # sigma is 0: one stray count in 10^9 is 1e-9 off, and no floor forgives it.
+    monkeypatch.setattr(cli, "estimate", _counting(successes))
+    assert cli.main(["general", "--threshold", threshold, "--samples", str(_BILLION)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["estimates"]["quadrature"]["p_hat"] == (1.0 if threshold == "0" else 0.0)
+    assert doc["agreement"]["within_tolerance"] is within
 
 
 def test_general_rejects_exact_method():
