@@ -19,9 +19,7 @@ __version__ = "0.1.0"
 # Each public name and the submodule that defines it.
 _EXPORTS = {
     "AngularIntervalSet": "directions",
-    "ChordProblem": "directions",
     "direction_set": "directions",
-    "is_unit_configuration": "directions",
     "probability_general": "directions",
     "DegenerateDirectionError": "errors",
     "NonFiniteSampleError": "errors",
@@ -40,10 +38,12 @@ _EXPORTS = {
     "probability_arctan_form": "exact",
     "probability_golden_ratio_form": "exact",
     "tangent_sum_residual": "exact",
+    "ChordProblem": "geometry",
     "IsoscelesTriangle": "geometry",
     "LimitAngleBreakdown": "geometry",
     "RayHit": "geometry",
     "Side": "geometry",
+    "is_unit_configuration": "geometry",
     "limit_angle": "geometry",
     "limit_angle_components": "geometry",
     "side_hit": "geometry",

@@ -16,12 +16,13 @@ import time
 from typing import Any, Callable, NoReturn, TypeVar
 
 from . import __version__
-from .directions import ChordProblem, is_unit_configuration, probability_general
+from .directions import probability_general
 from .exact import (
     probability_arctan_form,
     probability_golden_ratio_form,
 )
 from .estimates import Method, ProbabilityEstimate
+from .geometry import ChordProblem, is_unit_configuration
 from .quadrature import QuadratureResult, probability_by_quadrature
 from .reports import (
     FORMATS,

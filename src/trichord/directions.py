@@ -30,7 +30,9 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .geometry import IsoscelesTriangle, require_on_base, side_hit
+from .geometry import (  # noqa: F401  (is_unit_configuration re-exported)
+    ChordProblem, is_unit_configuration, require_on_base, side_hit, unit_abscissa, unit_base,
+)
 from .quadrature import QuadratureResult, integrate_profile
 
 # Cells between critical angles no wider than this are left unclassified.
@@ -69,58 +71,6 @@ class AngularIntervalSet:
         return any(start < theta < end for start, end in self.intervals)
 
 
-@dataclass(frozen=True)
-class ChordProblem:
-    """A triangle together with a chord-length cutoff.
-
-    ``threshold`` may be zero, meaning no cutoff: every direction qualifies.
-    Height and threshold over base must stay inside the float range, so the
-    problem scaled to base 1 (``unit_base``) represents the same shape.
-    """
-
-    triangle: IsoscelesTriangle = IsoscelesTriangle(1.0, 1.0)
-    threshold: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.threshold) and self.threshold >= 0.0):
-            raise ValueError(
-                f"threshold must be a nonnegative finite length, got {self.threshold}"
-            )
-        base, height = self.triangle.base, self.triangle.height
-        if not (0.0 < height / base < math.inf and self.threshold / base < math.inf):
-            raise ValueError(
-                f"base {base}, height {height} and threshold "
-                f"{self.threshold} span more than the floating-point range"
-            )
-
-
-def unit_base(problem: ChordProblem) -> ChordProblem:
-    """The same problem scaled to base 1.
-
-    Scaling keeps the bits of subnormal lengths, which direction sets at
-    base 1 then work with in full precision; it lets Monte Carlo draw its
-    points at base 1; and it makes the quadrature take the same decisions
-    at every scale.
-    """
-    triangle = problem.triangle
-    height = triangle.height / triangle.base
-    return ChordProblem(IsoscelesTriangle(1.0, height), problem.threshold / triangle.base)
-
-
-def _unit_abscissa(x: float, base: float) -> float:
-    """x / base, clamped onto [-1/2, 1/2]: at a subnormal base +-base/2 rounds."""
-    return min(max(x / base, -0.5), 0.5)
-
-
-def is_unit_configuration(problem: ChordProblem) -> bool:
-    """True for base = height = threshold = 1, where the closed form applies."""
-    return (
-        problem.triangle.base == 1.0
-        and problem.triangle.height == 1.0
-        and problem.threshold == 1.0
-    )
-
-
 def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
     """Directions from (x, 0) whose chord to the boundary exceeds the cutoff.
 
@@ -156,7 +106,7 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
     """
     require_on_base(problem.triangle, x)
     if problem.triangle.base != 1.0:
-        x, problem = _unit_abscissa(x, problem.triangle.base), unit_base(problem)
+        x, problem = unit_abscissa(x, problem.triangle.base), unit_base(problem)
     if problem.threshold == 0.0:
         return AngularIntervalSet(((0.0, math.pi),))
     triangle = problem.triangle

@@ -1,10 +1,14 @@
-"""Triangle frame, upward ray-side intersection, and the closed-form limit angle.
+"""Triangle frame, chord problem, upward ray-side intersection, and the closed-form limit angle.
 
 The frame places the origin at the midpoint of the base, the x axis along the
 base toward vertex A, and the apex B on the positive y axis.  A point on the
 base is identified by its abscissa x in [-base/2, base/2]; a ray from it is
 identified by its angle theta in (0, pi) measured counterclockwise from the
 positive x axis, so every admissible ray points into the upper half plane.
+
+``ChordProblem`` pairs a triangle with a chord-length cutoff, and
+``unit_base`` scales it to base 1, where both the quadrature and Monte Carlo
+engines work; both take them from here, so neither loads the other.
 
 ``limit_angle`` is specific to the unit configuration (base = height = 1 with
 a unit chord cutoff): it gives the total angular measure of ray directions
@@ -68,6 +72,58 @@ class IsoscelesTriangle:
 
 # Built once: the unit-configuration closed forms check every abscissa against it.
 UNIT_TRIANGLE = IsoscelesTriangle()
+
+
+@dataclass(frozen=True)
+class ChordProblem:
+    """A triangle together with a chord-length cutoff.
+
+    ``threshold`` may be zero, meaning no cutoff: every direction qualifies.
+    Height and threshold over base must stay inside the float range, so the
+    problem scaled to base 1 (``unit_base``) represents the same shape.
+    """
+
+    triangle: IsoscelesTriangle = IsoscelesTriangle(1.0, 1.0)
+    threshold: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.threshold) and self.threshold >= 0.0):
+            raise ValueError(
+                f"threshold must be a nonnegative finite length, got {self.threshold}"
+            )
+        base, height = self.triangle.base, self.triangle.height
+        if not (0.0 < height / base < math.inf and self.threshold / base < math.inf):
+            raise ValueError(
+                f"base {base}, height {height} and threshold "
+                f"{self.threshold} span more than the floating-point range"
+            )
+
+
+def unit_base(problem: ChordProblem) -> ChordProblem:
+    """The same problem scaled to base 1.
+
+    Scaling keeps the bits of subnormal lengths, which direction sets at
+    base 1 then work with in full precision; it lets Monte Carlo draw its
+    points at base 1; and it makes the quadrature take the same decisions
+    at every scale.
+    """
+    triangle = problem.triangle
+    height = triangle.height / triangle.base
+    return ChordProblem(IsoscelesTriangle(1.0, height), problem.threshold / triangle.base)
+
+
+def unit_abscissa(x: float, base: float) -> float:
+    """x / base, clamped onto [-1/2, 1/2]: at a subnormal base +-base/2 rounds."""
+    return min(max(x / base, -0.5), 0.5)
+
+
+def is_unit_configuration(problem: ChordProblem) -> bool:
+    """True for base = height = threshold = 1, where the closed form applies."""
+    return (
+        problem.triangle.base == 1.0
+        and problem.triangle.height == 1.0
+        and problem.threshold == 1.0
+    )
 
 
 class RayHit(NamedTuple):

@@ -16,7 +16,7 @@ consecutive ``SLICE_SIZE``-sample slices of a block's draws, so its scratch
 takes 128 KB an array and one call works in about 0.5 MB, which fits a
 2 MiB L2 cache.
 
-Sampling runs on the problem scaled to base 1 (``directions.unit_base``), so
+Sampling runs on the problem scaled to base 1 (``geometry.unit_base``), so
 any scale gives the same counts without overflow or underflow.  By convexity a
 chord beats the cutoff exactly when the point at that distance along its ray
 lies strictly inside the triangle; that test costs one tan per sample.
@@ -33,9 +33,8 @@ import numpy as np
 # of the first estimate.
 from numpy.random import Generator, Philox, SeedSequence
 
-from .directions import ChordProblem, _unit_abscissa, unit_base
 from .estimates import Method, ProbabilityEstimate  # noqa: F401  (Method re-exported)
-from .geometry import IsoscelesTriangle, require_on_base
+from .geometry import ChordProblem, IsoscelesTriangle, require_on_base, unit_abscissa, unit_base
 
 BLOCK_SIZE = 1 << 16
 # Samples per kernel call; a block is decided in BLOCK_SIZE / SLICE_SIZE calls.
@@ -149,7 +148,7 @@ def _run_blocks(
     if unit.threshold > 1.0 + unit.triangle.height:  # longer than every chord
         return 0
     if fixed_x is not None:
-        fixed_x = _unit_abscissa(fixed_x, problem.triangle.base)
+        fixed_x = unit_abscissa(fixed_x, problem.triangle.base)
     blocks = -(-samples // BLOCK_SIZE)
     tasks = min(workers, blocks)
     with ThreadPoolExecutor(max_workers=tasks) as pool:

@@ -11,6 +11,12 @@ from .geometry import limit_angle
 
 MAX_DEPTH = 50
 
+# Once a run has spent this many evaluations it accepts every panel still
+# open.  The depth cap bounds depth, not work: an integrand whose rounding
+# noise lies above the roundoff stop's scale would otherwise bisect toward
+# 2**MAX_DEPTH panels.
+MAX_EVALUATIONS = 4095
+
 # QUADPACK's qk15 rule (Piessens et al., 1983) on [-1, 1]: the 15 Kronrod
 # abscissae +-KRONROD_NODES[j] and 0 with their weights, and the weights of
 # the 7-point Gauss rule nested in them, which uses +-KRONROD_NODES[1], [3]
@@ -54,7 +60,7 @@ class QuadratureResult:
     ``probability`` is filled by the callers that normalize the integral into
     a probability and stays None for a bare integration.  ``converged`` is
     False when some subinterval was accepted without meeting its error share,
-    at the depth cap or at roundoff.
+    at the depth cap, at the evaluation cap or at roundoff.
     """
 
     integral: float
@@ -77,8 +83,11 @@ def integrate_profile(
     whose difference no longer changes the integral's magnitude,
     (upper - lower) times the largest |sample| of the first panel, is also
     accepted: a tolerance below roundoff then stops there instead of
-    splitting to the depth cap, ``MAX_DEPTH``.  A panel accepted at the cap
-    or at roundoff without meeting its share is flagged by
+    splitting to the depth cap, ``MAX_DEPTH``.  Noise in the samples can
+    keep a difference above that scale, so once ``MAX_EVALUATIONS`` are
+    spent every panel still open is accepted too; the right halves pending
+    on the way back up add at most 15 evaluations a level.  A panel accepted
+    at either cap or at roundoff without meeting its share is flagged by
     ``converged=False``.
 
     Args:
@@ -122,7 +131,12 @@ def integrate_profile(
 
     def settle(a: float, b: float, kronrod: float, delta: float, tol: float, depth: int) -> float:
         nonlocal converged
-        if abs(delta) <= tol or depth >= MAX_DEPTH or magnitude + delta == magnitude:
+        if (
+            abs(delta) <= tol
+            or depth >= MAX_DEPTH
+            or evaluations >= MAX_EVALUATIONS
+            or magnitude + delta == magnitude
+        ):
             if abs(delta) > tol:
                 converged = False
             return kronrod

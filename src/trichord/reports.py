@@ -12,9 +12,9 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Mapping
 
-from .directions import ChordProblem, direction_set, is_unit_configuration
+from .directions import direction_set
 from .estimates import ProbabilityEstimate
-from .geometry import IsoscelesTriangle, limit_angle
+from .geometry import ChordProblem, IsoscelesTriangle, is_unit_configuration, limit_angle
 
 METHODS = ("exact", "quadrature", "montecarlo", "all")
 FORMATS = ("json", "csv")

@@ -532,6 +532,24 @@ def test_tolerance_below_roundoff_finishes_with_warning():
     assert doc["estimates"]["quadrature"]["p_hat"] == pytest.approx(P_EXACT, abs=1e-10)
 
 
+def test_tolerance_below_the_integrand_noise_finishes_with_one_warning():
+    # At base 1e20 the default tolerance asks 5e-33 of the base-1 integral,
+    # below what its direction sets resolve; before the evaluation cap this hung.
+    flags = ("--method", "quadrature", "--base", "1e20", "--height", "1e11", "--threshold", "9e19")
+    proc = subprocess.run(
+        [sys.executable, "-m", "trichord", "general", *flags],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("trichord: warning: quadrature did not converge")
+    doc = json.loads(proc.stdout)
+    assert doc["estimates"]["quadrature"]["p_hat"] == pytest.approx(7.0735530263e-12, abs=1e-15)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_perturb_is_rejected_by_name(value):
     proc = run_cli("verify", "--samples", "1000", "--perturb", value)

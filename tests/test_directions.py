@@ -19,7 +19,7 @@ from trichord import (
     probability_general,
     side_hit,
 )
-from trichord import directions
+from trichord import directions, quadrature
 from trichord.directions import _breakpoints, unit_base
 
 # Frozen from 50-digit evaluations of the closed form.
@@ -704,6 +704,36 @@ def test_tolerance_below_roundoff_at_large_scale_finishes():
     assert result.probability == pytest.approx(P_EXACT, abs=1e-10)
     assert result.evaluations < 10**4
     assert not result.converged
+
+
+@pytest.mark.parametrize(
+    "base, height, threshold, tolerance",
+    [(1.0, 1e-9, 0.9, 1e-20), (1e20, 1e11, 9e19, 1e-12)],
+)
+def test_tolerance_below_the_integrand_noise_stops_at_the_evaluation_cap(
+    base, height, threshold, tolerance, monkeypatch
+):
+    # At base 1 the one integrated piece is [0.4, 0.5], where the measure is
+    # about 2e-10 rad, the width of intervals that end at pi.  Each sample then
+    # carries rounding of about ulp(pi) times that width, far above the
+    # roundoff stop's scale, so only the evaluation cap ends the run.  The
+    # counter fails the test where nothing does, instead of hanging the suite.
+    calls, inner = 0, directions.direction_set
+
+    def counted(problem, x):
+        nonlocal calls
+        calls += 1
+        if calls > 10**5:
+            raise AssertionError("the quadrature does not stop")
+        return inner(problem, x)
+
+    monkeypatch.setattr(directions, "direction_set", counted)
+    problem = ChordProblem(IsoscelesTriangle(base, height), threshold)
+    result = probability_general(problem, tolerance)
+    assert not result.converged
+    assert result.evaluations <= quadrature.MAX_EVALUATIONS + 15 * quadrature.MAX_DEPTH
+    # From a 40-digit mpmath integral of the arc model of direction sets.
+    assert result.probability == pytest.approx(7.0735530263064565e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])

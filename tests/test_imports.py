@@ -84,6 +84,17 @@ def test_import_trichord_loads_no_submodule():
     assert out == "[]"
 
 
+def test_montecarlo_loads_no_quadrature_code():
+    out = run_python(
+        "import sys, trichord.montecarlo\n"
+        "print(sorted(name for name in sys.modules if name.startswith('trichord')))\n"
+        "import trichord.directions, trichord.geometry\n"
+        "print(trichord.directions.ChordProblem is trichord.geometry.ChordProblem)"
+    )
+    loaded = ["trichord", "trichord.errors", "trichord.estimates", "trichord.geometry"]
+    assert out.split("\n") == [str([*loaded, "trichord.montecarlo"]), "True"]
+
+
 def test_each_public_name_is_its_defining_modules_object():
     import importlib
 

@@ -145,6 +145,20 @@ def test_depth_cap_stops_bisecting_a_kink(monkeypatch):
     assert result.integral == pytest.approx(5.0 / 18.0, abs=1e-4)
 
 
+def test_evaluation_cap_stops_bisecting_a_kink(monkeypatch):
+    # The depth cap bounds depth, not work: past 60 evaluations every open
+    # panel is accepted, and the right halves pending on the way back up add
+    # at most 15 evaluations a level.
+    def kink(x):
+        return abs(x - 1.0 / 3.0)
+
+    monkeypatch.setattr(quadrature, "MAX_EVALUATIONS", 60)
+    result = integrate_profile(kink, 0.0, 1.0, 1e-12)
+    assert not result.converged
+    assert 60 <= result.evaluations <= 60 + 15 * quadrature.MAX_DEPTH
+    assert result.integral == pytest.approx(5.0 / 18.0, abs=1e-3)
+
+
 def test_evaluation_count_is_reported():
     calls = 0
 
