@@ -126,7 +126,8 @@ def _problem(config: ExperimentConfig) -> ChordProblem:
 
 def _warn_unconverged(result: QuadratureResult) -> None:
     """One stderr line when quadrature accepted a subinterval short of its error
-    share, at its depth cap or at roundoff; stdout is unchanged."""
+    share, at its depth cap, at its evaluation cap or at roundoff; stdout is
+    unchanged."""
     if not result.converged:
         print(
             f"trichord: warning: quadrature did not converge to tolerance "

@@ -192,27 +192,32 @@ def _breakpoints(problem: ChordProblem) -> tuple[list[float], float, float]:
 
 
 def _absorb_cusp(
-    unit: ChordProblem, lo: float, hi: float, tangency: float
+    unit: ChordProblem, lo: float, hi: float, anchor: float
 ) -> Callable[[float], float]:
     """Integrand on s in [0, 1] integrating the direction-set measure over [lo, hi].
 
-    ``tangency`` = |base/2 - reach| is the one cusp on the half-base, an edge
-    wherever it lies inside (0, base/2), so never inside (lo, hi).  The map
-    is anchored at the piece's end on the tangency's side: x = lo + v^2 when
-    the tangency is at or left of lo, else x = hi - v^2, shifted so that
-    v = 0 falls on the tangency, with v linear in s.  The square-root cusp
-    then becomes smooth in s whether it is the end or lies beyond it, and a
-    far one makes the map nearly linear.  The map is written about the end,
-    x = end +- q*s*(2a + q*s) with a = sqrt(|end - tangency|) and
-    q = w / (a + sqrt(a^2 + w)), so nothing cancels when the tangency is
-    far; one that overflowed to inf gets the limit x = lo + w*s.  x is
-    clamped into [lo, hi] against roundoff.
+    ``anchor`` is the square-root branch point nearest the piece, never
+    inside (lo, hi).  With full = base/2 - reach as in ``_breakpoints``, the
+    tangency |full| is the one cusp on the half-base, an edge wherever it
+    lies inside (0, base/2).  Right of the tangency, when full < 0, no
+    crossing of side CB remains and the measure's nearest branch point is
+    the mirror -|full|, where side AB's c = sqrt((1 - u)(1 + u)) of
+    ``direction_set`` vanishes; every other piece is anchored at |full|.
+    The map is anchored at the piece's end on the anchor's side:
+    x = lo + v^2 when the anchor is at or left of lo, else x = hi - v^2,
+    shifted so that v = 0 falls on the anchor, with v linear in s.  The
+    square-root cusp then becomes smooth in s whether it is the end or lies
+    beyond it, and a far one makes the map nearly linear.  The map is
+    written about the end, x = end +- q*s*(2a + q*s) with
+    a = sqrt(|end - anchor|) and q = w / (a + sqrt(a^2 + w)), so nothing
+    cancels when the anchor is far; one that overflowed to inf gets the
+    limit x = lo + w*s.  x is clamped into [lo, hi] against roundoff.
     """
     w = hi - lo
-    if tangency == math.inf:
+    if anchor == math.inf:
         return lambda s: direction_set(unit, min(max(lo + w * s, lo), hi)).measure * w
-    end, direction = (lo, 1.0) if tangency <= lo else (hi, -1.0)
-    distance = abs(end - tangency)
+    end, direction = (lo, 1.0) if anchor <= lo else (hi, -1.0)
+    distance = abs(end - anchor)
     a = math.sqrt(distance)
     q = w / (a + math.sqrt(distance + w))
 
@@ -233,12 +238,14 @@ def probability_general(problem: ChordProblem, tolerance: float = 1e-10) -> Quad
     ``full`` of ``_breakpoints`` is positive, [0, full] is one piece where
     every direction qualifies, and adds exactly pi times its width; a piece
     that ends by ``empty``, where none does, adds 0.  Every other piece is
-    analytic once the tangency is absorbed, and gets one adaptive
-    Gauss–Kronrod 7/15 run (``integrate_profile``) at
-    tolerance / (2 * integrated pieces), so the error bound of the integral
-    across the whole base stays ``tolerance``.  ``evaluations`` sums the
-    integrated pieces, so it is 0 when t = 0 or t exceeds every chord, and
-    ``converged`` holds when every integrated piece converged.
+    analytic once its nearest branch point is absorbed (``_absorb_cusp``:
+    the tangency |full|, or its mirror -|full| for a piece right of the
+    tangency when full < 0), and gets one adaptive Gauss–Kronrod–Patterson
+    7/15 run (``integrate_profile``) at tolerance / (2 * integrated pieces),
+    so the error bound of the integral across the whole base stays
+    ``tolerance``.  ``evaluations`` sums the integrated pieces, so it is 0
+    when t = 0 or t exceeds every chord, and ``converged`` holds when every
+    integrated piece converged.
 
     Raises:
         ValueError: tolerance is not positive and finite.
@@ -253,7 +260,9 @@ def probability_general(problem: ChordProblem, tolerance: float = 1e-10) -> Quad
     share = tolerance / base / (2.0 * max(len(varying), 1))
     share = min(max(share, math.ulp(0.0)), sys.float_info.max)
     pieces = [
-        integrate_profile(_absorb_cusp(unit, lo, hi, abs(full)), 0.0, 1.0, share)
+        integrate_profile(
+            _absorb_cusp(unit, lo, hi, full if lo >= abs(full) else abs(full)), 0.0, 1.0, share
+        )
         for lo, hi in varying
     ]
     unit_integral = 2.0 * math.fsum(

@@ -1,6 +1,7 @@
 """Tests for direction sets and the general-configuration probability."""
 
 import math
+import random
 import warnings
 
 import numpy as np
@@ -503,38 +504,47 @@ def test_near_coincident_breakpoints_are_piece_edges(height, threshold):
     assert error <= tolerance / math.pi, error
 
 
-def _half_base_cases():
-    """Base-1 shapes with cutoffs at and one ulp about each meeting of a breakpoint.
+def _breakpoint_meetings(height):
+    """Cutoffs at which two breakpoints of the base-1 shape meet, or one meets 0 or 1/2.
 
     With s = hypot(1/2, h): the tangency meets 0 at t = h/(2s), 1/2 at h/s
     and the vertex distance at h/(h + s); the vertex distance meets 0 at
     t = 1/2 and 1/2 at 1; the apex distance appears at t = h, meets 1/2 at
-    s, the vertex distance at 1/4 + h^2 and the tangency at 2hs.  At height
-    1e-320 and cutoff 1/2 the reach overflows.
+    s, the vertex distance at 1/4 + h^2 and the tangency at 2hs.
+    """
+    side = math.hypot(0.5, height)
+    return (
+        height / (2.0 * side),
+        height / side,
+        height / (height + side),
+        0.5,
+        1.0,
+        height,
+        side,
+        0.25 + height * height,
+        2.0 * height * side,
+    )
+
+
+def _half_base_cases():
+    """Base-1 shapes with cutoffs at and one ulp about each meeting of a breakpoint.
+
+    At height 1e-320 and cutoff 1/2 the reach overflows.
     """
     cases = [(1e-320, 0.5)]
     for height in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3):
-        side = math.hypot(0.5, height)
-        places = (
-            height / (2.0 * side),
-            height / side,
-            height / (height + side),
-            0.5,
-            1.0,
-            height,
-            side,
-            0.25 + height * height,
-            2.0 * height * side,
-        )
+        places = _breakpoint_meetings(height)
         cases += [(height, t) for place in places for t in _within_ulps(place, 1)]
     return cases
 
 
 @pytest.mark.parametrize("height, threshold", _half_base_cases())
 def test_every_piece_is_anchored_at_the_one_tangency(height, threshold, monkeypatch):
-    # On [0, 1/2] the only cusp is the tangency |1/2 - reach|: each integrated
-    # piece gets it, and it is never strictly inside one.  When every
-    # direction qualifies near the middle, [0, full] is the first piece.
+    # On [0, 1/2] the only cusp is the tangency |1/2 - reach|, and it is never
+    # strictly inside an integrated piece.  Each piece is anchored there,
+    # except that right of the tangency, when full < 0, the nearest branch
+    # point is its mirror -|full|.  When every direction qualifies near the
+    # middle, [0, full] is the first piece.
     problem = ChordProblem(IsoscelesTriangle(1.0, height), threshold)
     edges, full, _ = _breakpoints(problem)
     if full > 0.0:
@@ -542,15 +552,16 @@ def test_every_piece_is_anchored_at_the_one_tangency(height, threshold, monkeypa
     anchors = []
     absorb_cusp = directions._absorb_cusp
 
-    def recording(unit, lo, hi, tangency):
-        anchors.append((lo, hi, tangency))
-        return absorb_cusp(unit, lo, hi, tangency)
+    def recording(unit, lo, hi, anchor):
+        anchors.append((lo, hi, anchor))
+        return absorb_cusp(unit, lo, hi, anchor)
 
     monkeypatch.setattr(directions, "_absorb_cusp", recording)
     result = probability_general(problem, 1e-10)
     assert result.converged
-    for lo, hi, tangency in anchors:
-        assert tangency == abs(full)
+    tangency = abs(full)
+    for lo, hi, anchor in anchors:
+        assert anchor == (-tangency if full < 0.0 and lo >= tangency else tangency)
         assert not lo < tangency < hi, (lo, hi, tangency)
 
 
@@ -664,6 +675,47 @@ def test_probability_general_converges_across_configurations(log_base, log_heigh
     longest = max(base, math.hypot(base / 2.0, height))
     problem = ChordProblem(IsoscelesTriangle(base, height), share * longest)
     _assert_matches_reference(problem, 1e-10 * base)
+
+
+def _seeded_sweep_cases():
+    """200 seeded base-1 shapes, then each meeting of breakpoints on ten of them.
+
+    The height is log-uniform in [1e-2, 1e2] and the cutoff a uniform share
+    of the longest chord.  On the first ten heights the cutoff also sits at
+    and one ulp about each of ``_breakpoint_meetings``.
+    """
+    rng = random.Random(33)
+    cases = []
+    for _ in range(200):
+        height = 10.0 ** rng.uniform(-2.0, 2.0)
+        cases.append((height, rng.random() * max(1.0, math.hypot(0.5, height))))
+    for height, _ in cases[:10]:
+        places = _breakpoint_meetings(height)
+        cases += [(height, t) for place in places for t in _within_ulps(place, 1)]
+    return cases
+
+
+def test_probability_general_matches_quadpack_across_a_seeded_sweep():
+    # A stage that accepts a panel too early lands outside the bound with
+    # converged=True somewhere in this sweep.  Where two breakpoints lie an
+    # ulp apart QUADPACK can fail to bound its own error; the 50-digit
+    # integral of the arc model stands in for it there.
+    from scipy.integrate import IntegrationWarning
+
+    failures = []
+    for height, threshold in _seeded_sweep_cases():
+        problem = ChordProblem(IsoscelesTriangle(1.0, height), threshold)
+        try:
+            reference, error = _reference_probability(problem, 1e-12)
+            assert error * 10.0 <= 1e-12 / math.pi
+        except IntegrationWarning:
+            reference = _probability_50_digits(problem)
+        for tolerance in (1e-10, 1e-12):
+            result = probability_general(problem, tolerance)
+            miss = abs(result.probability - reference)
+            if not result.converged or miss > tolerance / math.pi:
+                failures.append((height, threshold, tolerance, result.converged, miss))
+    assert failures == []
 
 
 def test_readme_example_converges_within_budget():

@@ -1,4 +1,4 @@
-"""Tests for adaptive Gauss–Kronrod 7/15 integration."""
+"""Tests for adaptive Gauss–Kronrod–Patterson 7/15 integration."""
 
 import math
 
@@ -21,31 +21,62 @@ def test_constant_integrand_is_exact():
     result = integrate_profile(lambda x: 1.0, 0.0, 1.0, 1e-12)
     assert result.integral == pytest.approx(1.0, abs=1e-15)
     assert result.converged
-    assert result.evaluations == 15  # one K15 panel
+    assert result.evaluations == 7  # one K7 stage
     assert result.probability is None
     assert result.tolerance == 1e-12
 
 
+
+def test_panel_that_fails_the_seven_point_stage_costs_fifteen():
+    # exp's K7 - G3 meets a share of 1e-3 but not 1e-10, where the 8 added
+    # nodes complete P15 on the same panel instead of bisecting it.
+    loose = integrate_profile(math.exp, 0.0, 1.0, 1e-3)
+    assert loose.evaluations == 7
+    result = integrate_profile(math.exp, 0.0, 1.0, 1e-10)
+    assert result.converged
+    assert result.evaluations == 15
+    assert result.integral == pytest.approx(math.e - 1.0, abs=1e-15)
+
 @pytest.mark.parametrize(
-    "weights, centre_weight, degree",
+    "nodes, weights, centre_weight, degree",
     [
-        (quadrature.KRONROD_WEIGHTS, quadrature.KRONROD_CENTRE_WEIGHT, 22),
-        (quadrature.GAUSS_WEIGHTS, quadrature.GAUSS_CENTRE_WEIGHT, 13),
+        (quadrature.K7_NODES, quadrature.K7_WEIGHTS, quadrature.K7_CENTRE_WEIGHT, 11),
+        (quadrature.K7_NODES, quadrature.G3_WEIGHTS, quadrature.G3_CENTRE_WEIGHT, 5),
+        (quadrature.P15_NODES, quadrature.P15_WEIGHTS, quadrature.P15_CENTRE_WEIGHT, 23),
     ],
-    ids=["kronrod15", "gauss7"],
+    ids=["kronrod7", "gauss3", "patterson15"],
 )
-def test_rule_integrates_monomials_exactly(weights, centre_weight, degree):
-    # Exact to 1e-15, so a node or weight mistyped in its first 13 significant
-    # digits fails.  The centre node is 0, so it weighs only the constant.
+def test_rule_integrates_monomials_exactly(nodes, weights, centre_weight, degree):
+    # Exact to 1e-15 in 50-digit arithmetic, so a node or weight mistyped in
+    # its first 13 significant digits fails.  The centre node is 0, so it
+    # weighs only the constant.
     import mpmath
 
+    assert len(nodes) == len(weights)
     with mpmath.workdps(50):
         for k in range(degree + 1):
             rule = mpmath.mpf(centre_weight) if k == 0 else mpmath.mpf(0)
-            for node, weight in zip(quadrature.KRONROD_NODES, weights):
+            for node, weight in zip(nodes, weights):
                 rule += mpmath.mpf(weight) * (mpmath.mpf(node) ** k + (-mpmath.mpf(node)) ** k)
             exact = mpmath.mpf(0) if k % 2 else mpmath.mpf(2) / (k + 1)
             assert abs(rule - exact) <= 1e-15, k
+
+
+def test_rules_are_nested():
+    # P15 samples K7's nodes themselves, not retyped copies, so the second
+    # stage reuses every sample of the first; G3 weighs only the centre and
+    # K7's middle node, sqrt(3/5).
+    assert all(p is k for p, k in zip(quadrature.P15_NODES, quadrature.K7_NODES))
+    assert quadrature.P15_NODES[3:] == quadrature.PATTERSON_NODES
+    gauss_nodes = [n for n, w in zip(quadrature.K7_NODES, quadrature.G3_WEIGHTS) if w != 0.0]
+    assert gauss_nodes == [quadrature.K7_NODES[1]]
+    assert quadrature.K7_NODES[1] == pytest.approx(math.sqrt(0.6), abs=1e-16)
+    # Patterson's published 15-point abscissae and centre weight.
+    assert quadrature.PATTERSON_NODES == pytest.approx(
+        (0.9938319632127550, 0.8884592328722570, 0.6211029467372264, 0.2233866864289669),
+        abs=1e-16,
+    )
+    assert quadrature.P15_CENTRE_WEIGHT == pytest.approx(0.2255104997982067, abs=1e-16)
 
 
 def test_quadratic_integrand():
@@ -132,7 +163,7 @@ def test_depth_cap_flags_non_convergence(monkeypatch):
 
 
 def test_depth_cap_stops_bisecting_a_kink(monkeypatch):
-    # K15 integrates x**6 exactly, so the test above stops at roundoff; a kink
+    # K7 and P15 integrate x**6 exactly, so the test above stops at roundoff; a kink
     # at the non-dyadic 1/3 needs about ten levels, so a cap of 3 must stop it.
     def kink(x):
         return abs(x - 1.0 / 3.0)
