@@ -56,8 +56,7 @@ _CONFIG_FLAGS = {
     "seed": ("--seed", "Monte Carlo root seed"),
     "tolerance": (
         "--tol",
-        "absolute error target on the integral of the angular measure over the base, "
-        "so p is within tol/(pi*base)",
+        "absolute error target on pi times the probability, so p is within tol/pi",
     ),
     "density_points": ("--points", "grid size for density output"),
     "output_format": ("--format", f"report format: {', '.join(FORMATS)}; density is always CSV"),
@@ -218,6 +217,9 @@ def cmd_integrate(config: ExperimentConfig, args: argparse.Namespace) -> tuple[i
         quad = _timed(timing, "quadrature", probability_by_quadrature, config.tolerance)
     else:
         quad = _timed(timing, "quadrature", probability_general, problem, config.tolerance)
+    if not math.isfinite(quad.integral):
+        message = "the integral over the base, pi * p * base, overflows at base"
+        raise ValueError(f"{message} {problem.triangle.base!r}; general reports p")
     _warn_unconverged(quad)
     return 0, _report(
         config,

@@ -26,7 +26,6 @@ piece by piece, closing the constant pieces exactly.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -231,34 +230,31 @@ def _absorb_cusp(
 def probability_general(problem: ChordProblem, tolerance: float = 1e-10) -> QuadratureResult:
     """Exceedance probability for any configuration, by quadrature.
 
-    Solves the problem scaled to base 1 (``unit_base``) at tolerance / base,
-    so any scale works, and scales the integral back.  Integrates the
-    direction-set measure over [0, 1/2] piece by piece, doubles it by mirror
-    symmetry and normalizes by pi (uniform base point, uniform angle).  When
-    ``full`` of ``_breakpoints`` is positive, [0, full] is one piece where
-    every direction qualifies, and adds exactly pi times its width; a piece
-    that ends by ``empty``, where none does, adds 0.  Every other piece is
-    analytic once its nearest branch point is absorbed (``_absorb_cusp``:
-    the tangency |full|, or its mirror -|full| for a piece right of the
-    tangency when full < 0), and gets one adaptive Gauss–Kronrod–Patterson
-    7/15 run (``integrate_profile``) at tolerance / (2 * integrated pieces),
-    so the error bound of the integral across the whole base stays
-    ``tolerance``.  ``evaluations`` sums the integrated pieces, so it is 0
-    when t = 0 or t exceeds every chord, and ``converged`` holds when every
-    integrated piece converged.
+    Solves the problem scaled to base 1 (``unit_base``) at ``tolerance``, so
+    every scale takes the same steps, and scales the integral back.
+    Integrates the direction-set measure over [0, 1/2] piece by piece,
+    doubles it by mirror symmetry and normalizes by pi (uniform base point,
+    uniform angle).  When ``full`` of ``_breakpoints`` is positive, [0, full]
+    is one piece where every direction qualifies, and adds exactly pi times
+    its width; a piece that ends by ``empty``, where none does, adds 0.
+    Every other piece is analytic once its nearest branch point is absorbed
+    (``_absorb_cusp``: the tangency |full|, or its mirror -|full| for a piece
+    right of the tangency when full < 0), and gets one adaptive
+    Gauss–Kronrod–Patterson 7/15 run (``integrate_profile``) at tolerance /
+    (2 * integrated pieces), so pi * p is within ``tolerance``.
+    ``evaluations`` sums the integrated pieces, so it is 0 when t = 0 or t
+    exceeds every chord, and ``converged`` holds when all of them converged.
 
     Raises:
         ValueError: tolerance is not positive and finite.
     """
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    base = problem.triangle.base
     unit = unit_base(problem)
     edges, full, empty = _breakpoints(unit)
     varying = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > max(full, empty)]
-    # Below the smallest float a share is roundoff, above the largest it bounds p by more than 1.
-    share = tolerance / base / (2.0 * max(len(varying), 1))
-    share = min(max(share, math.ulp(0.0)), sys.float_info.max)
+    # A tolerance below about 3e-323 shares out to 0; the smallest float is roundoff anyway.
+    share = max(tolerance / (2.0 * max(len(varying), 1)), math.ulp(0.0))
     pieces = [
         integrate_profile(
             _absorb_cusp(unit, lo, hi, full if lo >= abs(full) else abs(full)), 0.0, 1.0, share
@@ -269,7 +265,7 @@ def probability_general(problem: ChordProblem, tolerance: float = 1e-10) -> Quad
         [math.pi * max(full, 0.0), *(piece.integral for piece in pieces)]
     )
     return QuadratureResult(
-        integral=unit_integral * base,
+        integral=unit_integral * problem.triangle.base,
         probability=unit_integral / math.pi,
         evaluations=sum(piece.evaluations for piece in pieces),
         tolerance=tolerance,

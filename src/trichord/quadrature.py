@@ -71,9 +71,10 @@ class QuadratureResult:
     """Outcome of an adaptive quadrature run.
 
     ``probability`` is filled by the callers that normalize the integral into
-    a probability and stays None for a bare integration.  ``converged`` is
-    False when some subinterval was accepted without meeting its error share,
-    at the depth cap, at the evaluation cap or at roundoff.
+    a probability and stays None for a bare integration.  ``tolerance`` is
+    the absolute error target on ``integral``, or on pi * p when p is filled.
+    ``converged`` is False when some subinterval was accepted without meeting
+    its error share, at the depth cap, at the evaluation cap or at roundoff.
     """
 
     integral: float

@@ -456,19 +456,18 @@ def test_readme_general_example_converges_silently(capsys):
     "command", [("general", "--method", "quadrature"), ("integrate",), ("density",)]
 )
 def test_extreme_scales_run_without_traceback(command, scale):
-    # The tolerance is absolute on the integral, so it scales with the base.
-    tol = repr(1e-12 * float(scale))
-    flags = ("--base", scale, "--height", scale, "--threshold", scale, "--tol", tol)
-    proc = run_cli(*command, *flags)
+    # The default tolerance bounds pi * p at every scale, since the solve runs at base 1.
+    proc = run_cli(*command, "--base", scale, "--height", scale, "--threshold", scale)
     assert proc.returncode == 0
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
     if command[0] == "density":
         alphas = [float(line.split(",")[1]) for line in proc.stdout.strip().split("\n")[1:]]
         assert alphas[0] == pytest.approx(3.0 * math.atan(2.0) - math.pi, abs=1e-14)
         assert alphas[100] == 0.0
     else:
         doc = json.loads(proc.stdout)
-        assert doc["estimates"]["quadrature"]["p_hat"] == pytest.approx(P_EXACT, abs=1e-10)
+        p_hat = doc["estimates"]["quadrature"]["p_hat"]
+        assert p_hat == pytest.approx(P_EXACT, abs=1e-12 / math.pi)
 
 
 @pytest.mark.parametrize(
@@ -495,16 +494,31 @@ def test_extreme_shapes_run_without_error(command, height, threshold, capsys):
     [(("integrate",), "converged"), (("general", "--method", "quadrature"), "quadrature_converged")],
 )
 def test_default_tolerance_at_the_smallest_bases_converges(command, converged, capsys):
-    # tol / base overflows below a base of about 5.6e-321; the target on p
-    # then exceeds 1, so the first panel of each piece is accepted.  That
-    # panel's accuracy is promised by nothing, so only the range is checked.
+    # The solve runs at base 1 at the caller's tolerance, so the default
+    # bounds p at a subnormal base as it does at base 1.
     flags = ("--base", "1e-322", "--height", "1e-322", "--threshold", "1e-322")
     assert cli.main([*command, *flags]) == 0
     out, err = capsys.readouterr()
     assert err == ""
     doc = json.loads(out)
-    assert 0.0 <= doc["estimates"]["quadrature"]["p_hat"] <= 1.0
+    assert doc["estimates"]["quadrature"]["p_hat"] == pytest.approx(P_EXACT, abs=1e-12 / math.pi)
     assert doc["details"][converged] is True
+
+
+def test_integrate_names_an_integral_that_overflows(capsys):
+    # p is 1, so pi * p * base overflows; general reports p for the same shape.
+    flags = ["--base", "1e308", "--height", "1", "--threshold", "0"]
+    assert cli.main(["integrate", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "trichord: the integral over the base, pi * p * base, overflows at base 1e+308; "
+        "general reports p\n"
+    )
+    assert cli.main(["general", "--method", "quadrature", *flags]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["estimates"]["quadrature"]["p_hat"] == 1.0
 
 
 def test_density_with_a_cutoff_that_underflows_at_base_1(capsys):
@@ -518,8 +532,9 @@ def test_density_with_a_cutoff_that_underflows_at_base_1(capsys):
 
 
 def test_tolerance_below_roundoff_finishes_with_warning():
-    # Before the roundoff stop, every piece split to the depth cap: a hang.
-    flags = ("--method", "quadrature", "--base", "1e6", "--height", "1e6", "--threshold", "1e6")
+    # 1e-18 lies below the roundoff of pi * p, about 0.05.  Before the
+    # roundoff stop, every piece split to the depth cap: a hang.
+    flags = ("--method", "quadrature", "--tol", "1e-18")
     proc = subprocess.run(
         [sys.executable, "-m", "trichord", "general", *flags],
         capture_output=True,
@@ -545,9 +560,9 @@ def test_tight_tolerance_converges_without_a_warning(capsys):
 
 
 def test_tolerance_below_the_integrand_noise_finishes_with_one_warning():
-    # At base 1e20 the default tolerance asks 5e-33 of the base-1 integral,
-    # below what its direction sets resolve; before the evaluation cap this hung.
-    flags = ("--method", "quadrature", "--base", "1e20", "--height", "1e11", "--threshold", "9e19")
+    # 1e-20 lies below what direction sets resolve on this shape, where the
+    # measure is about 2e-10 rad; before the evaluation cap this hung.
+    flags = ("--method", "quadrature", "--height", "1e-9", "--threshold", "0.9", "--tol", "1e-20")
     proc = subprocess.run(
         [sys.executable, "-m", "trichord", "general", *flags],
         capture_output=True,

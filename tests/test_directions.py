@@ -738,8 +738,13 @@ def test_probability_is_scale_invariant_at_extreme_scales(shape):
         problem = ChordProblem(
             IsoscelesTriangle(base * scale, height * scale), threshold * scale
         )
-        result = probability_general(problem, 1e-12 * scale)
+        # Every scale is solved at base 1 at the caller's tolerance: the same steps.
+        result = probability_general(problem, 1e-12)
+        at_base_1 = probability_general(unit_base(problem), 1e-12)
         assert result.converged
+        assert result.probability == at_base_1.probability
+        assert result.evaluations == at_base_1.evaluations
+        assert result.integral == at_base_1.integral * base * scale
         assert result.probability == pytest.approx(unit, abs=1e-15)
         assert result.integral / scale == pytest.approx(unit * math.pi * base, rel=1e-14)
         # Direction sets of the scaled problem itself, at the scaled abscissae.
@@ -749,10 +754,10 @@ def test_probability_is_scale_invariant_at_extreme_scales(shape):
             )
 
 
-def test_tolerance_below_roundoff_at_large_scale_finishes():
-    # The integral is about 5e4, so an absolute 1e-12 is below its roundoff.
-    problem = ChordProblem(IsoscelesTriangle(1e6, 1e6), 1e6)
-    result = probability_general(problem, 1e-12)
+def test_tolerance_below_roundoff_finishes():
+    # pi * p is about 0.05, so an absolute 1e-18 is below its roundoff.
+    problem = ChordProblem(IsoscelesTriangle(1.0, 1.0), 1.0)
+    result = probability_general(problem, 1e-18)
     assert result.probability == pytest.approx(P_EXACT, abs=1e-10)
     assert result.evaluations < 10**4
     assert not result.converged
@@ -760,7 +765,7 @@ def test_tolerance_below_roundoff_at_large_scale_finishes():
 
 @pytest.mark.parametrize(
     "base, height, threshold, tolerance",
-    [(1.0, 1e-9, 0.9, 1e-20), (1e20, 1e11, 9e19, 1e-12)],
+    [(1.0, 1e-9, 0.9, 1e-20)],
 )
 def test_tolerance_below_the_integrand_noise_stops_at_the_evaluation_cap(
     base, height, threshold, tolerance, monkeypatch
@@ -796,9 +801,9 @@ def test_probability_general_rejects_a_tolerance_that_is_not_positive(tolerance)
 
 
 def test_tolerance_share_that_underflows_stays_positive():
-    # 1e-30 / 1e300 underflows to 0, which integrate_profile would reject.
-    problem = ChordProblem(IsoscelesTriangle(1e300, 1e300), 1e300)
-    result = probability_general(problem, 1e-30)
+    # 5e-324 shared out over pieces underflows to 0, which integrate_profile would reject.
+    problem = ChordProblem(IsoscelesTriangle(1.0, 1.0), 1.0)
+    result = probability_general(problem, 5e-324)
     assert result.probability == pytest.approx(P_EXACT, abs=1e-10)
     assert not result.converged
 
