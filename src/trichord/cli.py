@@ -125,8 +125,8 @@ def _problem(config: ExperimentConfig) -> ChordProblem:
 
 def _warn_unconverged(result: QuadratureResult) -> None:
     """One stderr line when quadrature accepted a subinterval short of its error
-    share, at its depth cap, at its evaluation cap or at roundoff; stdout is
-    unchanged."""
+    share, at roundoff, at float resolution or at its evaluation cap; stdout
+    is unchanged."""
     if not result.converged:
         print(
             f"trichord: warning: quadrature did not converge to tolerance "

@@ -96,9 +96,11 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
     stays; when t > s that crossing lies beyond B, and no chord near the
     jump beats t.  Each cell is classified by the chord length at its
     midpoint, and one pass merges adjacent qualifying cells and drops
-    intervals narrower than MIN_INTERVAL_WIDTH.  All this runs at base 1
-    and t > 0: another base solves ``unit_base(problem)`` at x / base, clamped
-    onto [-1/2, 1/2], base 1 skips that, and t = 0 there admits every direction.
+    intervals narrower than MIN_INTERVAL_WIDTH.  All this runs at base 1:
+    another base solves ``unit_base(problem)`` at x / base, clamped onto
+    [-1/2, 1/2].  Where both offsets are at least the reach, t = 0 too, every
+    direction qualifies, as on ``full`` of ``_breakpoints``; the one cell
+    there has a tangent midpoint on a flat shape, where the chord is t.
 
     Raises:
         OutOfBaseError: x lies outside the base.
@@ -106,13 +108,13 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
     require_on_base(problem.triangle, x)
     if problem.triangle.base != 1.0:
         x, problem = unit_abscissa(x, problem.triangle.base), unit_base(problem)
-    if problem.threshold == 0.0:
-        return AngularIntervalSet(((0.0, math.pi),))
     triangle = problem.triangle
 
     half, height, t = triangle.base / 2.0, triangle.height, problem.threshold
     side = math.hypot(half, height)
     reach, cos_base = t / (height / side), half / side
+    if half - abs(x) >= reach:
+        return AngularIntervalSet(((0.0, math.pi),))
     apex = side * (1.0 + APEX_SLACK)
     # Duplicates only make zero-width cells, which the loop below skips.
     angles = [0.0, math.pi]

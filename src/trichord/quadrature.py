@@ -10,12 +10,10 @@ from typing import Callable
 from .errors import NonFiniteSampleError
 from .geometry import limit_angle
 
-MAX_DEPTH = 50
-
 # Once a run has spent this many evaluations it accepts every panel still
-# open.  The depth cap bounds depth, not work: an integrand whose rounding
-# noise lies above the roundoff stop's scale would otherwise bisect toward
-# 2**MAX_DEPTH panels.
+# open.  The resolution stop bounds depth, not work: an integrand whose
+# rounding noise lies above the roundoff stop's scale would otherwise bisect
+# until floats run out of room in every panel.
 MAX_EVALUATIONS = 4095
 
 # Patterson's nested 3/7/15 sequence (Math. Comp. 22, 1968) on [-1, 1], each
@@ -74,7 +72,7 @@ class QuadratureResult:
     a probability and stays None for a bare integration.  ``tolerance`` is
     the absolute error target on ``integral``, or on pi * p when p is filled.
     ``converged`` is False when some subinterval was accepted without meeting
-    its error share, at the depth cap, at the evaluation cap or at roundoff.
+    its error share, at roundoff, at float resolution or at the evaluation cap.
     """
 
     integral: float
@@ -120,16 +118,19 @@ def integrate_profile(
     P15 - K7 meets the share; failing that it is bisected and each half gets
     half the share.  The estimate is QUADPACK's calibrated one (Piessens et
     al., 1983), see ``_stage``.  The returned value sums the accepted
-    values.  As in Gander & Gautschi (BIT 40, 2000), a panel whose P15 - K7
-    no longer changes the integral's magnitude, (upper - lower) times the
-    largest |sample| of the first K7, is also accepted, with the raw
-    difference as its estimate: a tolerance below roundoff then stops there
-    instead of splitting to the depth cap, ``MAX_DEPTH``.  Noise in the
-    samples can keep a difference above that scale, so once
-    ``MAX_EVALUATIONS`` are spent every panel still open is accepted too;
-    the right halves pending on the way back up add at most 15 evaluations
-    a level.  A panel accepted at either cap or at roundoff without meeting
-    its share is flagged by ``converged=False``.
+    values.  As in Gander & Gautschi (BIT 40, 2000), a panel is also
+    accepted at roundoff, when its P15 - K7 no longer changes the integral's
+    magnitude, (upper - lower) times the largest |sample| of the first K7,
+    with the raw difference as its estimate, and at float resolution, when
+    its outer K7 nodes no longer lie strictly inside it: its samples then
+    collapse onto a few floats and K7 - G3 reads 0, so it takes its K7 value
+    before the estimate is read.  Noise in the samples can keep a difference
+    above the roundoff scale, so once ``MAX_EVALUATIONS`` are spent every
+    panel still open is accepted too.  A panel is bisected only after 15
+    evaluations below that cap, so the recursion stays under
+    ``MAX_EVALUATIONS`` / 15 levels and a run takes at most
+    2 * ``MAX_EVALUATIONS`` + 15.  A panel accepted at resolution, or at any
+    other stop short of its share, sets ``converged=False``.
 
     Args:
         profile: integrand; must return finite floats.
@@ -156,31 +157,30 @@ def integrate_profile(
             raise NonFiniteSampleError(f"integrand returned {y!r} at x={x!r}")
         return y
 
-    def settle(a: float, b: float, tol: float, depth: int) -> float:
+    def settle(a: float, b: float, tol: float) -> float:
         nonlocal evaluations, converged, magnitude
         centre, half = 0.5 * (a + b), 0.5 * (b - a)
         samples = [sample(centre + half * node) for node in _ABSCISSAE[:7]]
         evaluations += 7
-        if depth == 0:
+        if evaluations == 7:
             magnitude = (b - a) * max(map(abs, samples))
         value, delta, error = _stage(_K7, _G3, samples, half, magnitude)
+        # Floats no longer resolve the panel: its outer nodes round onto or past its ends.
+        if not a < centre - half * K7_NODES[0] < centre + half * K7_NODES[0] < b:
+            converged = False
+            return value
         if error <= tol:
             return value
         samples += [sample(centre + half * node) for node in _ABSCISSAE[7:]]
         evaluations += 8
         value, delta, error = _stage(_P15, _K7, samples, half, magnitude)
-        if (
-            error <= tol
-            or depth >= MAX_DEPTH
-            or evaluations >= MAX_EVALUATIONS
-            or magnitude + delta == magnitude
-        ):
+        if error <= tol or evaluations >= MAX_EVALUATIONS or magnitude + delta == magnitude:
             if error > tol:
                 converged = False
             return value
-        return settle(a, centre, 0.5 * tol, depth + 1) + settle(centre, b, 0.5 * tol, depth + 1)
+        return settle(a, centre, 0.5 * tol) + settle(centre, b, 0.5 * tol)
 
-    integral = settle(lower, upper, tolerance, 0)
+    integral = settle(lower, upper, tolerance)
     return QuadratureResult(
         integral=integral,
         probability=None,

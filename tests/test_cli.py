@@ -51,6 +51,17 @@ def test_density_three_points():
     assert rows[2][1] == rows[0][1]
 
 
+def test_density_of_a_flat_shape_admits_every_direction_from_the_middle(capsys):
+    # At base 1 the middle's depth rounds to 1, and the one cell [0, pi] has
+    # the tangent direction, with a chord of exactly t, as its midpoint.
+    argv = ["density", "--base", "1", "--height", "1e-9", "--threshold", "1e-9", "--points", "3"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    x, alpha = out.strip().split("\n")[2].split(",")
+    assert (x, float(alpha)) == ("0", math.pi)
+
+
 def test_density_round_trips_at_17_digits():
     proc = run_cli("density", "--points", "41")
     assert proc.returncode == 0
@@ -533,7 +544,8 @@ def test_density_with_a_cutoff_that_underflows_at_base_1(capsys):
 
 def test_tolerance_below_roundoff_finishes_with_warning():
     # 1e-18 lies below the roundoff of pi * p, about 0.05.  Before the
-    # roundoff stop, every piece split to the depth cap: a hang.
+    # roundoff stop, every piece split until floats no longer resolved its
+    # panels: a hang.
     flags = ("--method", "quadrature", "--tol", "1e-18")
     proc = subprocess.run(
         [sys.executable, "-m", "trichord", "general", *flags],

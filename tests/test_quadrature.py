@@ -154,40 +154,34 @@ def test_non_finite_integrand_raises():
         integrate_profile(lambda x: math.inf, 0.0, 1.0, 1e-6)
 
 
-def test_depth_cap_flags_non_convergence(monkeypatch):
-    # impossible tolerance with a tiny depth cap: flagged, value still usable
-    monkeypatch.setattr(quadrature, "MAX_DEPTH", 3)
-    result = integrate_profile(lambda x: x**6, 0.0, 1.0, 1e-22)
-    assert not result.converged
-    assert result.integral == pytest.approx(1.0 / 7.0, rel=1e-3)
-
-
-def test_depth_cap_stops_bisecting_a_kink(monkeypatch):
-    # K7 and P15 integrate x**6 exactly, so the test above stops at roundoff; a kink
-    # at the non-dyadic 1/3 needs about ten levels, so a cap of 3 must stop it.
+def test_evaluation_cap_stops_bisecting_a_kink(monkeypatch):
+    # The resolution stop bounds depth, not work: past 60 evaluations every
+    # open panel is accepted.  Each level whose right half is still pending
+    # spent 15 of those 60, so the run ends within 2 * 60 + 15.
     def kink(x):
         return abs(x - 1.0 / 3.0)
 
     assert integrate_profile(kink, 0.0, 1.0, 1e-6).converged
-    monkeypatch.setattr(quadrature, "MAX_DEPTH", 3)
-    result = integrate_profile(kink, 0.0, 1.0, 1e-6)
-    assert not result.converged
-    assert result.evaluations <= 15 * (2**4 - 1)
-    assert result.integral == pytest.approx(5.0 / 18.0, abs=1e-4)
-
-
-def test_evaluation_cap_stops_bisecting_a_kink(monkeypatch):
-    # The depth cap bounds depth, not work: past 60 evaluations every open
-    # panel is accepted, and the right halves pending on the way back up add
-    # at most 15 evaluations a level.
-    def kink(x):
-        return abs(x - 1.0 / 3.0)
-
     monkeypatch.setattr(quadrature, "MAX_EVALUATIONS", 60)
     result = integrate_profile(kink, 0.0, 1.0, 1e-12)
     assert not result.converged
-    assert 60 <= result.evaluations <= 60 + 15 * quadrature.MAX_DEPTH
+    assert 60 <= result.evaluations <= 2 * quadrature.MAX_EVALUATIONS + 15
     assert result.integral == pytest.approx(5.0 / 18.0, abs=1e-3)
+
+
+def test_jump_that_floats_cannot_resolve_is_flagged():
+    # Around 1e6 + 0.3 a panel one ulp wide puts all seven K7 nodes on one
+    # float, so K7 - G3 reads 0 whatever the jump of 1e12 does inside it.
+    # Counting such panels as converged read this run as converged, 233 off.
+    lower, upper = 1e6 + 0.3, 1e6 + 0.35
+
+    def jump(x):
+        return math.sin(10.0 * (x - 1e6)) + (1e12 if lower < x < upper else 0.0)
+
+    result = integrate_profile(jump, 1e6, 1e6 + 1.0, 1e-6)
+    assert not result.converged
+    assert result.evaluations <= 2 * quadrature.MAX_EVALUATIONS + 15
+    assert result.integral == pytest.approx(1e12 * (upper - lower), rel=1e-9)
 
 
 def test_evaluation_count_is_reported():
