@@ -34,12 +34,6 @@ from .geometry import (  # noqa: F401  (is_unit_configuration re-exported)
 )
 from .quadrature import QuadratureResult, integrate_profile
 
-# Cells between critical angles no wider than this are left unclassified.
-MIN_CELL_WIDTH = 1e-15
-
-# Final intervals narrower than this are dropped as numerical slivers.
-MIN_INTERVAL_WIDTH = 1e-12
-
 # Side crossings farther along the side line than this share beyond the apex
 # are dropped; the slack keeps a crossing at the apex itself.
 APEX_SLACK = 1e-9
@@ -94,9 +88,12 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
     x = +-base/2 the chord jumps there from 0 to s, and the near side has
     depth 0, so its crossing lies in the apex direction and the cell edge
     stays; when t > s that crossing lies beyond B, and no chord near the
-    jump beats t.  Each cell is classified by the chord length at its
-    midpoint, and one pass merges adjacent qualifying cells and drops
-    intervals narrower than MIN_INTERVAL_WIDTH.  All this runs at base 1:
+    jump beats t.  A cell is classified, by the chord length toward its
+    float midpoint, when that midpoint lies strictly inside it, and one pass
+    merges adjacent qualifying cells and keeps every nonempty run.  The
+    measure is accurate to a few ulps of pi in absolute terms: where the
+    true measure is below that, it may read 0 or a subnormal, and x and -x
+    may differ by that much.  All this runs at base 1:
     another base solves ``unit_base(problem)`` at x / base, clamped onto
     [-1/2, 1/2].  Where both offsets are at least the reach, t = 0 too, every
     direction qualifies, as on ``full`` of ``_breakpoints``; the one cell
@@ -136,19 +133,20 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
 
     angles.sort()
     # Runs of adjacent qualifying cells become one interval; a run ends at a
-    # cell that fails or was skipped, and is kept if it is wide enough.  Both
+    # cell that fails or is left unclassified, and is kept if nonempty.  Both
     # ends start as nan, so the first qualifying cell starts a run and no
     # empty run is kept.
     intervals: list[tuple[float, float]] = []
     start = end = math.nan
     for low, high in zip(angles, angles[1:]):
-        if high - low > MIN_CELL_WIDTH and side_hit(triangle, x, 0.5 * (low + high)).distance > t:
+        mid = 0.5 * (low + high)
+        if low < mid < high and side_hit(triangle, x, mid).distance > t:
             if low != end:
-                if end - start >= MIN_INTERVAL_WIDTH:
+                if start < end:
                     intervals.append((start, end))
                 start = low
             end = high
-    if end - start >= MIN_INTERVAL_WIDTH:
+    if start < end:
         intervals.append((start, end))
     return AngularIntervalSet(tuple(intervals))
 
