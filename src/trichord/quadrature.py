@@ -1,8 +1,14 @@
-"""Adaptive Gauss–Kronrod–Patterson 7/15 quadrature of angular-measure profiles over the base."""
+"""Adaptive Gauss–Kronrod–Patterson 7/15 quadrature of angular-measure profiles over the base.
+
+Each panel's error estimate is derived from the rules themselves: null rules
+on the 7-point stage, the nested 3/7/15 differences on the 15-point one, both
+extrapolated as Berntsen & Espelid do (ACM TOMS 17, 1991).
+"""
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from operator import mul
 from typing import Callable
@@ -63,6 +69,42 @@ _K7 = (K7_CENTRE_WEIGHT, *(weight for weight in K7_WEIGHTS for _ in range(2)))
 _G3 = (G3_CENTRE_WEIGHT, *(weight for weight in G3_WEIGHTS for _ in range(2)))
 _P15 = (P15_CENTRE_WEIGHT, *(weight for weight in P15_WEIGHTS for _ in range(2)))
 
+# The null rules of degrees 1 to 6 on K7's nodes, as (centre, +K7_NODES[0],
+# +[1], +[2]) weights; a rule of odd degree weighs -node by minus its +node
+# weight.  The degree-k rule is w_i * phi_k(x_i), phi_k the degree-k
+# polynomial orthogonal under the K7 weights, scaled so that its weights
+# have the Euclidean norm of K7's (Berntsen & Espelid, ACM TOMS 17, 1991).
+# It integrates every monomial below degree k to 0 and x^k not, the rules
+# are orthogonal under the K7 weights, and the degree-6 rule is
+# proportional to K7 - G3.  K7 is exact to degree 11, so phi_k is
+# Legendre's P_k up to degree 5 and the degree-3 rule weighs the G3 node
+# sqrt(3/5), a root of P_3, 0.  Derived in 60-digit mpmath.
+K7_NULL_RULES = (
+    (0.0, 0.204278688200707619393107242349069, 0.422634766324372320532421424976716,
+     0.354219704272484026988265973525919),
+    (-0.57535358507931871261053082865614, 0.236045213642441630449731748370019,
+     0.274065059607572892167217907340921, -0.22243348071035516631168424138287),
+    (0.0, 0.242259514531121769669488180302569, 0.0, -0.535846857481771518328907261534165),
+    (0.571458234162826198005229695302927, 0.22599528355971199528210313714877,
+     -0.272209540481931644407495135694011, -0.239514860159193449877222849106222),
+    (0.0, 0.197119391072388564081927654480111, -0.436044143944221543813118314354504,
+     0.341805466967903395033981623363849),
+    (-0.435107518633684988767271430718803, 0.103971656639935490375846520884397,
+     -0.285189721702559088544177400885549, 0.398771824379466092551966595360553),
+)
+# The null rules in sample order, highest degree first, so that consecutive
+# pairs are degrees (6, 5), (4, 3) and (2, 1).
+_NULLS = tuple(
+    (rule[0], *(sign**degree * weight for weight in rule[1:] for sign in (-1.0, 1.0)))
+    for degree, rule in reversed(tuple(enumerate(K7_NULL_RULES, 1)))
+)
+
+# Berntsen & Espelid's constants (ACM TOMS 17, 1991): the safety factor K on
+# every extrapolated estimate, and the critical ratio r_crit below which the
+# magnitudes are taken to decay asymptotically.
+ERROR_FACTOR = 10.0
+CRITICAL_RATIO = 0.25
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -73,6 +115,8 @@ class QuadratureResult:
     the absolute error target on ``integral``, or on pi * p when p is filled.
     ``converged`` is False when some subinterval was accepted without meeting
     its error share, at roundoff, at float resolution or at the evaluation cap.
+    No panel's error estimate falls below its own rounding, so a tolerance
+    below the integral's roundoff reads ``converged`` False too.
     """
 
     integral: float
@@ -82,27 +126,56 @@ class QuadratureResult:
     converged: bool
 
 
+def _extrapolate(magnitudes: tuple[float, ...], alpha: float) -> float:
+    """Berntsen & Espelid's error estimate from magnitudes of rising accuracy.
+
+    ``magnitudes`` lists nonnegative differences or null-rule magnitudes,
+    the highest degree first, and r is the largest ratio of one to the next
+    (a zero over a zero reads 0, anything else over a zero reads inf).  Once
+    r falls below ``CRITICAL_RATIO`` the sequence is taken to decay
+    asymptotically, and the rule's own error, ``alpha`` such ratio steps
+    beyond the first magnitude, is K * r_crit^(1 - alpha) * r^alpha times
+    it; between r_crit and 1 it is K * r times the first, and from 1 up,
+    where the magnitudes do not decay, K times the largest (Berntsen &
+    Espelid, ACM TOMS 17, 1991), with K = ``ERROR_FACTOR``.
+    """
+    top = magnitudes[0]
+    ratio = max(
+        high / low if low else (math.inf if high else 0.0)
+        for high, low in zip(magnitudes, magnitudes[1:])
+    )
+    if ratio >= 1.0:
+        return ERROR_FACTOR * max(magnitudes)
+    if ratio >= CRITICAL_RATIO:
+        return ERROR_FACTOR * ratio * top
+    return ERROR_FACTOR * CRITICAL_RATIO ** (1.0 - alpha) * ratio**alpha * top
+
+
 def _stage(
     weights: tuple[float, ...],
-    embedded: tuple[float, ...],
     samples: list[float],
     half: float,
     magnitude: float,
-) -> tuple[float, float, float]:
-    """A rule's value over a panel, its difference from the embedded rule, and the error estimate.
+    delta: float,
+    magnitudes: tuple[float, ...],
+    alpha: float,
+) -> float:
+    """A rule's error estimate over a panel, floored at the rule's rounding.
 
-    The estimate is QUADPACK's calibrated one (Piessens et al., 1983),
-    resasc * min(1, (200 |difference| / resasc)^1.5), where resasc is the
-    rule applied to |f - mean f| over the panel.  A difference that no longer
-    changes ``magnitude`` is roundoff, and stands as its own estimate.
+    ``delta`` is the rule's difference from the rule nested in it.  A
+    difference that no longer changes ``magnitude`` is roundoff, and stands
+    as its own estimate; otherwise ``magnitudes`` are extrapolated
+    (``_extrapolate``).  The floor is machine epsilon times resabs, the rule
+    applied to |f| over the panel: no sum of the rule's terms is closer than
+    that, and an extrapolation that claims less would call a panel converged
+    at any tolerance.
     """
-    rule = sum(map(mul, weights, samples))
-    delta = (rule - sum(map(mul, embedded, samples))) * half
-    mean = 0.5 * rule
-    resasc = half * sum(weight * abs(f - mean) for weight, f in zip(weights, samples))
-    if resasc == 0.0 or magnitude + delta == magnitude:
-        return rule * half, delta, abs(delta)
-    return rule * half, delta, resasc * min(1.0, (200.0 * abs(delta) / resasc) ** 1.5)
+    if magnitude + delta == magnitude:
+        estimate = abs(delta)
+    else:
+        estimate = _extrapolate(magnitudes, alpha)
+    resabs = half * sum(weight * abs(f) for weight, f in zip(weights, samples))
+    return max(estimate, sys.float_info.epsilon * resabs)
 
 
 def integrate_profile(
@@ -110,21 +183,27 @@ def integrate_profile(
 ) -> QuadratureResult:
     """Integrate ``profile`` over [lower, upper] by adaptive Gauss–Kronrod–Patterson 7/15.
 
-    Each panel first takes the 7-point Kronrod rule K7 and the 3-point Gauss
-    rule nested in it, and is accepted at 7 evaluations when the error
-    estimate of K7 - G3 falls within its share of ``tolerance``.  Otherwise
-    Patterson's 8 added nodes extend the same samples to P15 (Patterson,
-    Math. Comp. 22, 1968), and the panel is accepted when the estimate of
-    P15 - K7 meets the share; failing that it is bisected and each half gets
-    half the share.  The estimate is QUADPACK's calibrated one (Piessens et
-    al., 1983), see ``_stage``.  The returned value sums the accepted
-    values.  As in Gander & Gautschi (BIT 40, 2000), a panel is also
-    accepted at roundoff, when its P15 - K7 no longer changes the integral's
-    magnitude, (upper - lower) times the largest |sample| of the first K7,
-    with the raw difference as its estimate, and at float resolution, when
-    its outer K7 nodes no longer lie strictly inside it: its samples then
-    collapse onto a few floats and K7 - G3 reads 0, so it takes its K7 value
-    before the estimate is read.  Noise in the samples can keep a difference
+    Each panel first takes the 7-point Kronrod rule K7, and is accepted at 7
+    evaluations when the error estimate from K7's null rules falls within
+    its share of ``tolerance``.  Otherwise Patterson's 8 added nodes extend
+    the same samples to P15 (Patterson, Math. Comp. 22, 1968), and the panel
+    is accepted when P15's estimate meets the share; failing that it is
+    bisected and each half gets half the share.  Both estimates extrapolate
+    magnitudes that fall with the rules' degree, as Berntsen & Espelid do
+    (ACM TOMS 17, 1991; see ``_extrapolate``), and are floored at rounding
+    (``_stage``).  K7's pairs its six null rules, degrees (6, 5), (4, 3) and
+    (2, 1), into Euclidean magnitudes; K7 is exact to degree 11, three pair
+    steps above the first, so alpha = 3.  P15's takes |P15 - K7| and
+    |K7 - G3|, G3 the 3-point Gauss rule nested in K7: G3, K7 and P15 are
+    exact to degrees 5, 11 and 23, so their errors go as sigma, sigma^2 and
+    sigma^4, and alpha = 2.  The returned value sums the accepted values.
+    As in Gander & Gautschi (BIT 40, 2000), a panel is also accepted at
+    roundoff, when its P15 - K7 no longer changes the integral's magnitude,
+    (upper - lower) times the largest |sample| of any panel so far, with the
+    raw difference as its estimate, and at float resolution, when its outer
+    K7 nodes no longer lie strictly inside it: its samples then collapse
+    onto a few floats and its null rules read 0, so it takes its K7 value
+    before any estimate is read.  Noise in the samples can keep a difference
     above the roundoff scale, so once ``MAX_EVALUATIONS`` are spent every
     panel still open is accepted too.  A panel is bisected only after 15
     evaluations below that cap, so the recursion stays under
@@ -162,22 +241,28 @@ def integrate_profile(
         centre, half = 0.5 * (a + b), 0.5 * (b - a)
         samples = [sample(centre + half * node) for node in _ABSCISSAE[:7]]
         evaluations += 7
-        if evaluations == 7:
-            magnitude = (b - a) * max(map(abs, samples))
-        value, delta, error = _stage(_K7, _G3, samples, half, magnitude)
+        magnitude = max(magnitude, (b - a) * max(map(abs, samples)))
+        value = half * sum(map(mul, _K7, samples))
         # Floats no longer resolve the panel: its outer nodes round onto or past its ends.
         if not a < centre - half * K7_NODES[0] < centre + half * K7_NODES[0] < b:
             converged = False
             return value
-        if error <= tol:
+        gauss = half * sum(map(mul, _G3, samples))
+        nulls = [half * sum(map(mul, rule, samples)) for rule in _NULLS]
+        pairs = tuple(math.hypot(nulls[i], nulls[i + 1]) for i in (0, 2, 4))
+        if _stage(_K7, samples, half, magnitude, value - gauss, pairs, 3.0) <= tol:
             return value
         samples += [sample(centre + half * node) for node in _ABSCISSAE[7:]]
         evaluations += 8
-        value, delta, error = _stage(_P15, _K7, samples, half, magnitude)
+        magnitude = max(magnitude, (b - a) * max(map(abs, samples)))
+        refined = half * sum(map(mul, _P15, samples))
+        delta = refined - value
+        differences = (abs(delta), abs(value - gauss))
+        error = _stage(_P15, samples, half, magnitude, delta, differences, 2.0)
         if error <= tol or evaluations >= MAX_EVALUATIONS or magnitude + delta == magnitude:
             if error > tol:
                 converged = False
-            return value
+            return refined
         return settle(a, centre, 0.5 * tol) + settle(centre, b, 0.5 * tol)
 
     integral = settle(lower, upper, tolerance)

@@ -1,8 +1,10 @@
 """Tests for direction sets and the general-configuration probability."""
 
+import csv
 import math
 import random
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -719,6 +721,42 @@ def test_probability_general_matches_quadpack_across_a_seeded_sweep():
             if not result.converged or miss > tolerance / math.pi:
                 failures.append((height, threshold, tolerance, result.converged, miss))
     assert failures == []
+
+
+# Base-1 shapes with their 50-digit probabilities, written by
+# tests/make_proof_sweep.py: 2 000 with the cutoff uniform up to the longest
+# chord, then 1 000 with it near a meeting of breakpoints.
+PROOF_SWEEP = Path(__file__).with_name("proof_sweep.csv")
+
+
+def _proof_sweep():
+    with PROOF_SWEEP.open(newline="") as table:
+        return [tuple(map(float, row)) for row in list(csv.reader(table))[1:]]
+
+
+def test_probability_general_meets_its_bound_across_the_proof_sweep():
+    # An error estimate that accepts panels too early, such as one that
+    # accepts every 7-point stage, lands outside the bound with
+    # converged=True on hundreds of these shapes.
+    failures = []
+    for height, threshold, reference in _proof_sweep():
+        problem = ChordProblem(IsoscelesTriangle(1.0, height), threshold)
+        for tolerance in (1e-10, 1e-12, 1e-14):
+            result = probability_general(problem, tolerance)
+            miss = math.pi * abs(result.probability - reference)
+            if not result.converged or miss > tolerance:
+                failures.append((height, threshold, tolerance, result.converged, miss))
+    assert failures == []
+
+
+def test_proof_sweep_references_are_current():
+    # Ten rows from both sets, recomputed, so the table cannot drift from
+    # the arc model it was written from.
+    rows = _proof_sweep()
+    assert len(rows) >= 2000
+    for height, threshold, reference in rows[:: len(rows) // 10]:
+        live = _probability_50_digits(ChordProblem(IsoscelesTriangle(1.0, height), threshold))
+        assert abs(live - reference) <= 1e-16, (height, threshold)
 
 
 def test_tall_shapes_with_the_cutoff_near_the_height_converge_within_the_bound():

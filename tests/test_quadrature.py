@@ -1,6 +1,7 @@
 """Tests for adaptive Gauss–Kronrod–Patterson 7/15 integration."""
 
 import math
+import sys
 
 import pytest
 
@@ -28,8 +29,8 @@ def test_constant_integrand_is_exact():
 
 
 def test_panel_that_fails_the_seven_point_stage_costs_fifteen():
-    # exp's K7 - G3 meets a share of 1e-3 but not 1e-10, where the 8 added
-    # nodes complete P15 on the same panel instead of bisecting it.
+    # exp's 7-point estimate meets a share of 1e-3 but not 1e-10, where the 8
+    # added nodes complete P15 on the same panel instead of bisecting it.
     loose = integrate_profile(math.exp, 0.0, 1.0, 1e-3)
     assert loose.evaluations == 7
     result = integrate_profile(math.exp, 0.0, 1.0, 1e-10)
@@ -60,6 +61,85 @@ def test_rule_integrates_monomials_exactly(nodes, weights, centre_weight, degree
                 rule += mpmath.mpf(weight) * (mpmath.mpf(node) ** k + (-mpmath.mpf(node)) ** k)
             exact = mpmath.mpf(0) if k % 2 else mpmath.mpf(2) / (k + 1)
             assert abs(rule - exact) <= 1e-15, k
+
+
+def test_null_rules_annihilate_lower_degrees_and_are_orthogonal():
+    # In 50-digit arithmetic, so a weight mistyped in its first 13 significant
+    # digits fails.  Each rule is expanded to its 7 samples, a rule of odd
+    # degree weighing -node by minus its +node weight.
+    import mpmath
+
+    with mpmath.workdps(50):
+        nodes = [mpmath.mpf(0)] + [
+            sign * mpmath.mpf(node) for node in quadrature.K7_NODES for sign in (-1, 1)
+        ]
+        weights = [mpmath.mpf(quadrature.K7_CENTRE_WEIGHT)] + [
+            mpmath.mpf(weight) for weight in quadrature.K7_WEIGHTS for _ in range(2)
+        ]
+        gauss = [mpmath.mpf(quadrature.G3_CENTRE_WEIGHT)] + [
+            mpmath.mpf(weight) for weight in quadrature.G3_WEIGHTS for _ in range(2)
+        ]
+        rules = [
+            [mpmath.mpf(rule[0])]
+            + [sign**degree * mpmath.mpf(weight) for weight in rule[1:] for sign in (-1, 1)]
+            for degree, rule in enumerate(quadrature.K7_NULL_RULES, 1)
+        ]
+        norm = sum(weight**2 for weight in weights)
+        for degree, rule in enumerate(rules, 1):
+            for k in range(degree):
+                assert abs(sum(u * x**k for u, x in zip(rule, nodes))) <= 1e-15, (degree, k)
+            assert abs(sum(u * x**degree for u, x in zip(rule, nodes))) >= 1e-2, degree
+            assert abs(sum(u**2 for u in rule) - norm) <= 1e-15, degree
+            for other in rules[degree:]:
+                inner = sum(u * v / w for u, v, w in zip(rule, other, weights))
+                assert abs(inner) <= 1e-15, degree
+        difference = [k - g for k, g in zip(weights, gauss)]
+        scale = difference[0] / rules[-1][0]
+        for d, u in zip(difference, rules[-1]):
+            assert abs(d - scale * u) <= 1e-15
+    # The sample-order copies the quadrature reads, highest degree first.
+    assert quadrature._NULLS == tuple(
+        tuple(float(u) for u in rule) for rule in reversed(rules)
+    )
+
+
+@pytest.mark.parametrize(
+    "magnitudes, alpha, estimate",
+    [
+        # r = max(1/2, 2/0.5) = 4 >= 1: no decay, K times the largest.
+        ((1.0, 2.0, 0.5), 3.0, 10.0 * 2.0),
+        # r_crit <= r = 1/2 < 1: K * r times the first.
+        ((0.5, 1.0), 2.0, 10.0 * 0.5 * 0.5),
+        # r = 1/100 < r_crit: K * r_crit^(1 - alpha) * r^alpha times the first.
+        ((1e-3, 1e-1, 10.0), 3.0, 10.0 * 0.25**-2.0 * 1e-6 * 1e-3),
+        # At r = r_crit the two lower regimes meet.
+        ((0.25, 1.0), 2.0, 10.0 * 0.25 * 0.25),
+        # A magnitude over a zero is an infinite ratio, a zero over a zero none.
+        ((1e-9, 0.0), 2.0, 10.0 * 1e-9),
+        ((0.0, 0.0, 1.0), 3.0, 0.0),
+    ],
+)
+def test_extrapolate_follows_berntsen_and_espelid(magnitudes, alpha, estimate):
+    assert quadrature.ERROR_FACTOR == 10.0
+    assert quadrature.CRITICAL_RATIO == 0.25
+    assert quadrature._extrapolate(magnitudes, alpha) == pytest.approx(estimate, rel=1e-15)
+
+
+def test_estimate_is_floored_at_the_rules_rounding():
+    samples = [1.0, -2.0, 3.0, -4.0, 5.0, -6.0, 7.0]
+    half = 0.25
+    resabs = half * sum(w * abs(f) for w, f in zip(quadrature._K7, samples))
+    floor = sys.float_info.epsilon * resabs
+
+    def stage(magnitude, delta, magnitudes):
+        return quadrature._stage(quadrature._K7, samples, half, magnitude, delta, magnitudes, 3.0)
+
+    # Extrapolated far below the floor, and a difference at roundoff.
+    assert stage(1.0, 0.5, (1e-30, 1e-20, 1e-10)) == floor
+    assert stage(1.0, 1e-17, (1.0, 1.0, 1.0)) == floor
+    # Above the floor each estimate stands: at roundoff the raw difference.
+    assert stage(1e3, 1e-14, (1.0, 1.0, 1.0)) == 1e-14
+    assert stage(1.0, 0.5, (1e-3, 2e-3, 4e-3)) == pytest.approx(5e-3, rel=1e-15)
 
 
 def test_rules_are_nested():
@@ -170,18 +250,43 @@ def test_evaluation_cap_stops_bisecting_a_kink(monkeypatch):
 
 
 def test_jump_that_floats_cannot_resolve_is_flagged():
-    # Around 1e6 + 0.3 a panel one ulp wide puts all seven K7 nodes on one
-    # float, so K7 - G3 reads 0 whatever the jump of 1e12 does inside it.
-    # Counting such panels as converged read this run as converged, 233 off.
-    lower, upper = 1e6 + 0.3, 1e6 + 0.35
+    # The centre node samples the jump, so panels bisect towards its ends,
+    # where around 1e6 + 0.45 a panel one ulp wide puts all seven K7 nodes on
+    # one float, and no estimate from its samples sees the jump inside it.
+    # Counting such panels as converged read a run like this as converged,
+    # 233 times its tolerance off.
+    jump, lower, upper = 1e6, 1e6 + 0.45, 1e6 + 0.55
 
-    def jump(x):
-        return math.sin(10.0 * (x - 1e6)) + (1e12 if lower < x < upper else 0.0)
+    def profile(x):
+        return math.sin(10.0 * (x - 1e6)) + (jump if lower < x < upper else 0.0)
 
-    result = integrate_profile(jump, 1e6, 1e6 + 1.0, 1e-6)
+    result = integrate_profile(profile, 1e6, 1e6 + 1.0, 1e-6)
     assert not result.converged
     assert result.evaluations <= 2 * quadrature.MAX_EVALUATIONS + 15
-    assert result.integral == pytest.approx(1e12 * (upper - lower), rel=1e-9)
+    exact = (1.0 - math.cos(10.0)) / 10.0 + jump * (upper - lower)
+    assert result.integral == pytest.approx(exact, rel=1e-9)
+
+
+def test_roundoff_scale_grows_with_every_panel():
+    # The first panel's K7 nodes miss the jump of 1e12 on (0.6, 0.62), a P15
+    # node hits it, and neither half's nodes do.  The integral's roundoff is
+    # then set by that P15 sample, far above 1e-10, so the halves stop at
+    # roundoff short of their shares instead of reading converged while the
+    # whole 2e10 is missed.
+    def profile(x):
+        return math.sin(10.0 * x) + (1e12 if 0.6 < x < 0.62 else 0.0)
+
+    result = integrate_profile(profile, 0.0, 1.0, 1e-10)
+    assert not result.converged
+
+
+@pytest.mark.parametrize("profile, upper", [(math.exp, 1.0), (math.sin, math.pi)])
+def test_tolerance_below_the_rules_rounding_is_not_converged(profile, upper):
+    # The extrapolated estimates of exp and sin fall below 1e-18 within one
+    # panel, but no rule resolves an integral near 1 to better than its ulp.
+    result = integrate_profile(profile, 0.0, upper, 1e-18)
+    assert not result.converged
+    assert result.evaluations < 10**4
 
 
 def test_evaluation_count_is_reported():
