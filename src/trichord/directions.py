@@ -39,7 +39,7 @@ from .quadrature import QuadratureResult, integrate_profile
 APEX_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AngularIntervalSet:
     """Sorted union of disjoint open angular intervals inside (0, pi)."""
 
@@ -56,8 +56,12 @@ class AngularIntervalSet:
 
     @property
     def measure(self) -> float:
-        """Total length in radians."""
-        return math.fsum(end - start for start, end in self.intervals)
+        """Total length in radians; one interval's width is exactly its fsum."""
+        intervals = self.intervals
+        if len(intervals) == 1:
+            start, end = intervals[0]
+            return end - start
+        return math.fsum([end - start for start, end in intervals])
 
     def contains(self, theta: float) -> bool:
         """True when theta lies strictly inside one of the intervals."""
@@ -102,10 +106,11 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
     Raises:
         OutOfBaseError: x lies outside the base.
     """
-    require_on_base(problem.triangle, x)
-    if problem.triangle.base != 1.0:
-        x, problem = unit_abscissa(x, problem.triangle.base), unit_base(problem)
     triangle = problem.triangle
+    require_on_base(triangle, x)
+    if triangle.base != 1.0:
+        x, problem = unit_abscissa(x, triangle.base), unit_base(problem)
+        triangle = problem.triangle
 
     half, height, t = triangle.base / 2.0, triangle.height, problem.threshold
     side = math.hypot(half, height)
@@ -113,32 +118,38 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
     if half - abs(x) >= reach:
         return AngularIntervalSet(((0.0, math.pi),))
     apex = side * (1.0 + APEX_SLACK)
-    # Duplicates only make zero-width cells, which the loop below skips.
-    angles = [0.0, math.pi]
+    # The critical angles inside (0, pi); duplicates only make zero-width
+    # cells, which the loop below skips.
+    angles: list[float] = []
     # Side AB has outward normal (h, half)/s, side CB (-h, half)/s.  offset
     # runs along the base from (x, 0) to the side's base vertex, and foot
-    # along the side from that vertex to the foot of the perpendicular.
+    # along the side from that vertex to the foot of the perpendicular; the
+    # two crossings lie chord * t either way of the foot.
     for offset, sign in ((half - x, 1.0), (half + x, -1.0)):
         depth = offset / reach
         if depth < 1.0:
             chord = math.sqrt((1.0 - depth) * (1.0 + depth))
-            foot = offset * cos_base
-            for along in (chord, -chord):
-                if foot + along * t <= apex:
-                    angle = math.atan2(
-                        depth * half + along * height, sign * (depth * height - along * half)
-                    )
-                    if 0.0 < angle < math.pi:
-                        angles.append(angle)
+            foot, along = offset * cos_base, chord * t
+            rise, run = depth * half, depth * height
+            if foot + along <= apex:
+                angle = math.atan2(rise + chord * height, sign * (run - chord * half))
+                if 0.0 < angle < math.pi:
+                    angles.append(angle)
+            if foot - along <= apex:
+                angle = math.atan2(rise - chord * height, sign * (run + chord * half))
+                if 0.0 < angle < math.pi:
+                    angles.append(angle)
 
     angles.sort()
+    angles.append(math.pi)
     # Runs of adjacent qualifying cells become one interval; a run ends at a
     # cell that fails or is left unclassified, and is kept if nonempty.  Both
     # ends start as nan, so the first qualifying cell starts a run and no
-    # empty run is kept.
+    # empty run is kept.  The cells run from 0 through the angles to pi.
     intervals: list[tuple[float, float]] = []
     start = end = math.nan
-    for low, high in zip(angles, angles[1:]):
+    low = 0.0
+    for high in angles:
         mid = 0.5 * (low + high)
         if low < mid < high and side_hit(triangle, x, mid).distance > t:
             if low != end:
@@ -146,6 +157,7 @@ def direction_set(problem: ChordProblem, x: float) -> AngularIntervalSet:
                     intervals.append((start, end))
                 start = low
             end = high
+        low = high
     if start < end:
         intervals.append((start, end))
     return AngularIntervalSet(tuple(intervals))
@@ -214,15 +226,24 @@ def _absorb_cusp(
     """
     w = hi - lo
     if anchor == math.inf:
-        return lambda s: direction_set(unit, min(max(lo + w * s, lo), hi)).measure * w
+
+        def linear(s: float) -> float:
+            x = lo + w * s
+            x = lo if x < lo else hi if x > hi else x
+            return direction_set(unit, x).measure * w
+
+        return linear
     end, direction = (lo, 1.0) if anchor <= lo else (hi, -1.0)
     distance = abs(end - anchor)
     a = math.sqrt(distance)
     q = w / (a + math.sqrt(distance + w))
+    step, two_a = direction * q, 2.0 * a
 
     def integrand(s: float) -> float:
-        x = end + direction * q * s * (2.0 * a + q * s)
-        return direction_set(unit, min(max(x, lo), hi)).measure * 2.0 * q * (a + q * s)
+        qs = q * s
+        x = end + step * s * (two_a + qs)
+        x = lo if x < lo else hi if x > hi else x
+        return direction_set(unit, x).measure * 2.0 * q * (a + qs)
 
     return integrand
 
@@ -231,7 +252,8 @@ def probability_general(problem: ChordProblem, tolerance: float = 1e-10) -> Quad
     """Exceedance probability for any configuration, by quadrature.
 
     Solves the problem scaled to base 1 (``unit_base``) at ``tolerance``, so
-    every scale takes the same steps, and scales the integral back.
+    every scale takes the same steps, and scales the integral back; a
+    problem already at base 1 is solved as given.
     Integrates the direction-set measure over [0, 1/2] piece by piece,
     doubles it by mirror symmetry and normalizes by pi (uniform base point,
     uniform angle).  When ``full`` of ``_breakpoints`` is positive, [0, full]
@@ -250,24 +272,28 @@ def probability_general(problem: ChordProblem, tolerance: float = 1e-10) -> Quad
     """
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    unit = unit_base(problem)
+    base = problem.triangle.base
+    unit = problem if base == 1.0 else unit_base(problem)
     edges, full, empty = _breakpoints(unit)
-    varying = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > max(full, empty)]
+    closed = max(full, empty)
+    varying = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > closed]
     # A tolerance below about 3e-323 shares out to 0; the smallest float is roundoff anyway.
     share = max(tolerance / (2.0 * max(len(varying), 1)), math.ulp(0.0))
-    pieces = [
-        integrate_profile(
-            _absorb_cusp(unit, lo, hi, full if lo >= abs(full) else abs(full)), 0.0, 1.0, share
+    cusp = abs(full)
+    terms = [math.pi * max(full, 0.0)]
+    evaluations, converged = 0, True
+    for lo, hi in varying:
+        piece = integrate_profile(
+            _absorb_cusp(unit, lo, hi, full if lo >= cusp else cusp), 0.0, 1.0, share
         )
-        for lo, hi in varying
-    ]
-    unit_integral = 2.0 * math.fsum(
-        [math.pi * max(full, 0.0), *(piece.integral for piece in pieces)]
-    )
+        terms.append(piece.integral)
+        evaluations += piece.evaluations
+        converged = converged and piece.converged
+    unit_integral = 2.0 * math.fsum(terms)
     return QuadratureResult(
-        integral=unit_integral * problem.triangle.base,
+        integral=unit_integral * base,
         probability=unit_integral / math.pi,
-        evaluations=sum(piece.evaluations for piece in pieces),
+        evaluations=evaluations,
         tolerance=tolerance,
-        converged=all(piece.converged for piece in pieces),
+        converged=converged,
     )

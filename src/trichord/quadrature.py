@@ -64,9 +64,7 @@ P15_CENTRE_WEIGHT = 0.225510499798206687386422549155950
 
 # A panel samples the centre, then -node and +node for each node of P15 in
 # turn, so its first 7 samples are K7's.  The weights follow that order.
-_ABSCISSAE = (0.0, *(sign * node for node in P15_NODES for sign in (-1.0, 1.0)))
 _K7 = (K7_CENTRE_WEIGHT, *(weight for weight in K7_WEIGHTS for _ in range(2)))
-_G3 = (G3_CENTRE_WEIGHT, *(weight for weight in G3_WEIGHTS for _ in range(2)))
 _P15 = (P15_CENTRE_WEIGHT, *(weight for weight in P15_WEIGHTS for _ in range(2)))
 
 # The null rules of degrees 1 to 6 on K7's nodes, as (centre, +K7_NODES[0],
@@ -139,11 +137,15 @@ def _extrapolate(magnitudes: tuple[float, ...], alpha: float) -> float:
     where the magnitudes do not decay, K times the largest (Berntsen &
     Espelid, ACM TOMS 17, 1991), with K = ``ERROR_FACTOR``.
     """
-    top = magnitudes[0]
-    ratio = max(
-        high / low if low else (math.inf if high else 0.0)
-        for high, low in zip(magnitudes, magnitudes[1:])
-    )
+    top = high = magnitudes[0]
+    # As max() does: the first ratio, replaced only by a strictly larger one.
+    ratio = None
+    for index in range(1, len(magnitudes)):
+        low = magnitudes[index]
+        step = high / low if low else (math.inf if high else 0.0)
+        if ratio is None or step > ratio:
+            ratio = step
+        high = low
     if ratio >= 1.0:
         return ERROR_FACTOR * max(magnitudes)
     if ratio >= CRITICAL_RATIO:
@@ -174,8 +176,8 @@ def _stage(
         estimate = abs(delta)
     else:
         estimate = _extrapolate(magnitudes, alpha)
-    resabs = half * sum(weight * abs(f) for weight, f in zip(weights, samples))
-    return max(estimate, sys.float_info.epsilon * resabs)
+    floor = sys.float_info.epsilon * (half * sum(map(mul, weights, map(abs, samples))))
+    return floor if floor > estimate else estimate
 
 
 def integrate_profile(
@@ -239,23 +241,62 @@ def integrate_profile(
     def settle(a: float, b: float, tol: float) -> float:
         nonlocal evaluations, converged, magnitude
         centre, half = 0.5 * (a + b), 0.5 * (b - a)
-        samples = [sample(centre + half * node) for node in _ABSCISSAE[:7]]
+        # Samples at centre + half * node in _K7's order.  The centre too takes
+        # + half * 0.0, which reads a centre of -0.0 as 0.0 and is nan where
+        # b - a overflows.
+        k0, k1, k2 = K7_NODES
+        d0, d1, d2 = half * k0, half * k1, half * k2
+        f0 = sample(centre + half * 0.0)
+        f1, f2 = sample(centre - d0), sample(centre + d0)
+        f3, f4 = sample(centre - d1), sample(centre + d1)
+        f5, f6 = sample(centre - d2), sample(centre + d2)
+        samples = [f0, f1, f2, f3, f4, f5, f6]
         evaluations += 7
-        magnitude = max(magnitude, (b - a) * max(map(abs, samples)))
-        value = half * sum(map(mul, _K7, samples))
+        scale = (b - a) * max(map(abs, samples))
+        if scale > magnitude:
+            magnitude = scale
+        # Each rule adds its terms left to right.  value and refined start from
+        # 0.0, as sum() does, so a panel of negative zeros reads 0.0; the other
+        # sums reach the estimate only through abs() and hypot(), where the sign
+        # of a zero, and G3's terms of weight 0, change nothing.
+        w0, w1, w2 = K7_WEIGHTS
+        value = half * (
+            0.0 + K7_CENTRE_WEIGHT * f0 + w0 * f1 + w0 * f2 + w1 * f3 + w1 * f4 + w2 * f5 + w2 * f6
+        )
         # Floats no longer resolve the panel: its outer nodes round onto or past its ends.
-        if not a < centre - half * K7_NODES[0] < centre + half * K7_NODES[0] < b:
+        if not a < centre - d0 < centre + d0 < b:
             converged = False
             return value
-        gauss = half * sum(map(mul, _G3, samples))
-        nulls = [half * sum(map(mul, rule, samples)) for rule in _NULLS]
-        pairs = tuple(math.hypot(nulls[i], nulls[i + 1]) for i in (0, 2, 4))
+        gauss = half * (G3_CENTRE_WEIGHT * f0 + G3_WEIGHTS[1] * f3 + G3_WEIGHTS[1] * f4)
+        nulls = []
+        for r0, r1, r2, r3, r4, r5, r6 in _NULLS:
+            nulls.append(
+                half * (r0 * f0 + r1 * f1 + r2 * f2 + r3 * f3 + r4 * f4 + r5 * f5 + r6 * f6)
+            )
+        n6, n5, n4, n3, n2, n1 = nulls
+        pairs = (math.hypot(n6, n5), math.hypot(n4, n3), math.hypot(n2, n1))
         if _stage(_K7, samples, half, magnitude, value - gauss, pairs, 3.0) <= tol:
             return value
-        samples += [sample(centre + half * node) for node in _ABSCISSAE[7:]]
+        p0, p1, p2, p3 = PATTERSON_NODES
+        e0, e1, e2, e3 = half * p0, half * p1, half * p2, half * p3
+        f7, f8 = sample(centre - e0), sample(centre + e0)
+        f9, f10 = sample(centre - e1), sample(centre + e1)
+        f11, f12 = sample(centre - e2), sample(centre + e2)
+        f13, f14 = sample(centre - e3), sample(centre + e3)
+        added = [f7, f8, f9, f10, f11, f12, f13, f14]
         evaluations += 8
-        magnitude = max(magnitude, (b - a) * max(map(abs, samples)))
-        refined = half * sum(map(mul, _P15, samples))
+        # magnitude holds the K7 samples already, and rounding keeps the order
+        # of products with b - a, so the added samples give the same maximum.
+        scale = (b - a) * max(map(abs, added))
+        if scale > magnitude:
+            magnitude = scale
+        samples += added
+        v0, v1, v2, v3, v4, v5, v6 = P15_WEIGHTS
+        refined = half * (
+            0.0 + P15_CENTRE_WEIGHT * f0 + v0 * f1 + v0 * f2 + v1 * f3 + v1 * f4 + v2 * f5
+            + v2 * f6 + v3 * f7 + v3 * f8 + v4 * f9 + v4 * f10 + v5 * f11 + v5 * f12
+            + v6 * f13 + v6 * f14
+        )
         delta = refined - value
         differences = (abs(delta), abs(value - gauss))
         error = _stage(_P15, samples, half, magnitude, delta, differences, 2.0)

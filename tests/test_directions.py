@@ -1,6 +1,7 @@
 """Tests for direction sets and the general-configuration probability."""
 
 import csv
+import dataclasses
 import math
 import random
 import warnings
@@ -37,6 +38,34 @@ def test_interval_set_measure():
     assert AngularIntervalSet(((0.0, math.pi),)).measure == math.pi
     two = AngularIntervalSet(((0.1, 0.2), (0.5, 0.9)))
     assert two.measure == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "intervals",
+    [
+        (),
+        ((0.1, 0.2),),
+        ((0.0, 1e-310),),  # a subnormal width
+        ((0.1, 0.2), (0.5, 0.9)),
+        ((0.1, 0.2), (0.5, 0.9), (1.0, 3.0)),
+    ],
+)
+def test_interval_set_measure_is_the_fsum_of_the_widths(intervals):
+    widths = [end - start for start, end in intervals]
+    assert AngularIntervalSet(intervals).measure == math.fsum(widths)
+
+
+def test_interval_set_is_frozen_hashable_and_equal_by_value():
+    s = AngularIntervalSet(((0.1, 0.2), (0.5, 0.9)))
+    same = AngularIntervalSet(((0.1, 0.2), (0.5, 0.9)))
+    assert s == same and hash(s) == hash(same) and len({s, same}) == 1
+    assert s != AngularIntervalSet(((0.1, 0.2),))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.intervals = ()
+    # Slotted: no instance dict, so nothing else can be attached either.
+    assert not hasattr(s, "__dict__")
+    with pytest.raises(AttributeError):
+        object.__setattr__(s, "extra", 1)
 
 
 def test_interval_set_contains():
@@ -413,6 +442,65 @@ def test_probability_general_unreachable_threshold():
     result = probability_general(ChordProblem(IsoscelesTriangle(), 3.0), 1e-10)
     assert result.probability == 0.0
     assert result.evaluations == 0
+
+
+# (base, height, threshold), tolerance, p, evaluations, converged: the
+# benchmark's four fixed shapes, a tall shape with t near h, a flat one and one
+# with p near 2e-3.  Evaluations and converged are pinned exactly, so a rewrite
+# of the engine keeps its work.  p is held to 2 ulp, not bit for bit: it was
+# recorded on CPython 3.11, whose float sum() adds left to right, and CPython
+# 3.12 made that sum compensated (gh-100425), so rule sums taken with sum()
+# read a few ulp apart there.
+PINNED_GENERAL = [
+    ((1.0, 1.0, 1.0), 1e-10, 0.016212872164880508, 15, True),
+    ((1.0, 1.0, 1.0), 1e-14, 0.016212872164880508, 15, True),
+    ((2.0, 1.5, 0.8), 1e-10, 0.5241860297359067, 22, True),
+    ((2.0, 1.5, 0.8), 1e-14, 0.5241860297359079, 30, True),
+    ((1.0, 1.0, 0.5), 1e-10, 0.48496378519951616, 30, True),
+    ((1.0, 1.0, 0.5), 1e-14, 0.48496378519951616, 30, True),
+    ((3.0, 1.0, 1.0), 1e-10, 0.29912924177528805, 37, True),
+    ((3.0, 1.0, 1.0), 1e-14, 0.29912924177528805, 37, True),
+    ((1.0, 973.6894712143505, 973.689470764853), 1e-10, 1.4518295348305608e-11, 7, True),
+    ((1.0, 973.6894712143505, 973.689470764853), 1e-14, 1.4518295348305608e-11, 7, True),
+    ((1.0, 1e-09, 0.9), 1e-10, 7.0735479373708616e-12, 7, True),
+    ((1.0, 1e-09, 0.9), 1e-14, 7.0735479373708616e-12, 7, True),
+    ((1.0, 0.3, 0.9), 1e-10, 0.0021520923687653407, 7, True),
+    ((1.0, 0.3, 0.9), 1e-14, 0.0021520923687653407, 7, True),
+]
+
+
+@pytest.mark.parametrize("shape, tolerance, probability, evaluations, converged", PINNED_GENERAL)
+def test_probability_general_is_pinned(shape, tolerance, probability, evaluations, converged):
+    base, height, threshold = shape
+    problem = ChordProblem(IsoscelesTriangle(base, height), threshold)
+    result = probability_general(problem, tolerance)
+    assert (result.evaluations, result.converged) == (evaluations, converged)
+    assert abs(result.probability - probability) <= 2.0 * math.ulp(probability)
+
+
+@pytest.mark.parametrize(
+    "shape", [*sorted({shape for shape, *_ in PINNED_GENERAL}), (1.0, 1.0, 0.0), (1.0, 1.0, 2.0)]
+)
+def test_probability_general_calls_its_layers_by_module_name(shape, monkeypatch):
+    # The benchmark's trace wraps direction_set and side_hit where
+    # trichord.directions looks them up, and divides by their call counts, so
+    # a solve must call both through the module: direction_set once per
+    # evaluation, and side_hit in every solve that integrates a piece.
+    calls = {"direction_set": 0, "side_hit": 0}
+    for name in calls:
+
+        def counting(*args, name=name, wrapped=getattr(directions, name)):
+            calls[name] += 1
+            return wrapped(*args)
+
+        monkeypatch.setattr(directions, name, counting)
+    base, height, threshold = shape
+    result = probability_general(ChordProblem(IsoscelesTriangle(base, height), threshold))
+    assert calls["direction_set"] == result.evaluations
+    if result.evaluations:
+        assert calls["side_hit"] >= 1
+    else:
+        assert calls["side_hit"] == 0
 
 
 @pytest.mark.parametrize("base, height", [(2.0, 1.5), (1.0, 0.3), (1.0, 100.0)])
